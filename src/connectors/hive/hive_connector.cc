@@ -168,11 +168,12 @@ namespace {
 
 class HiveDataSink final : public DataSink {
  public:
-  HiveDataSink(HiveConnector* connector, MiniDfs* dfs, std::string path,
-               RowSchema schema, int64_t stripe_rows,
-               std::function<void(const std::string&)> register_file)
-      : connector_(connector),
-        dfs_(dfs),
+  using RegisterFile = std::function<void(const std::string& path,
+                                          const ColumnStatsBuilder& stats)>;
+
+  HiveDataSink(MiniDfs* dfs, std::string path, RowSchema schema,
+               int64_t stripe_rows, RegisterFile register_file)
+      : dfs_(dfs),
         path_(std::move(path)),
         writer_(std::move(schema), stripe_rows),
         register_file_(std::move(register_file)) {}
@@ -186,18 +187,16 @@ class HiveDataSink final : public DataSink {
     int64_t rows = writer_.rows_written();
     if (rows > 0) {
       PRESTO_RETURN_IF_ERROR(dfs_->Write(path_, writer_.Finish()));
-      register_file_(path_);
+      register_file_(path_, writer_.column_stats());
     }
-    (void)connector_;
     return rows;
   }
 
  private:
-  HiveConnector* connector_;
   MiniDfs* dfs_;
   std::string path_;
   StorcWriter writer_;
-  std::function<void(const std::string&)> register_file_;
+  RegisterFile register_file_;
 };
 
 }  // namespace
@@ -267,6 +266,7 @@ Status HiveConnector::LoadTable(const std::string& table_name,
         path = "/warehouse/" + table_name + "/part-" +
                std::to_string(info->next_file_id++) + ".storc";
         info->files[""].push_back(path);
+        info->file_stats[path] = writer->column_stats();
       }
       PRESTO_RETURN_IF_ERROR(dfs_.Write(path, writer->Finish()));
       writers.erase("");
@@ -308,6 +308,7 @@ Status HiveConnector::LoadTable(const std::string& table_name,
              "=" + partition + "/part-" +
              std::to_string(info->next_file_id++) + ".storc";
       info->files[partition].push_back(path);
+      info->file_stats[path] = writer->column_stats();
     }
     PRESTO_RETURN_IF_ERROR(dfs_.Write(path, writer->Finish()));
   }
@@ -325,58 +326,13 @@ Status HiveConnector::AnalyzeTable(const std::string& table_name) {
     }
     info = it->second;
   }
-  TableStats stats;
-  stats.row_count = 0;
-  size_t ncols = info->schema.size();
-  std::vector<std::set<std::string>> distinct(ncols);
-  std::vector<int64_t> nulls(ncols, 0);
-  std::vector<Value> mins(ncols), maxs(ncols);
-  std::vector<std::string> all_files;
+  // Every storc file was sketched when it was written: ANALYZE merges the
+  // per-file sketches (O(files)) instead of re-reading the data.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [_, files] : info->files) {
-      for (const auto& f : files) all_files.push_back(f);
-    }
-  }
-  std::vector<int> all_columns;
-  for (size_t c = 0; c < ncols; ++c) all_columns.push_back(static_cast<int>(c));
-  for (const auto& file : all_files) {
-    PRESTO_ASSIGN_OR_RETURN(StorcFooter footer, ReadStorcFooter(dfs_, file));
-    StorcReader reader(&dfs_, file, footer, all_columns, {}, /*lazy=*/false,
-                       nullptr);
-    for (;;) {
-      PRESTO_ASSIGN_OR_RETURN(auto page, reader.NextPage());
-      if (!page.has_value()) break;
-      stats.row_count += page->num_rows();
-      for (size_t c = 0; c < ncols; ++c) {
-        const auto& block = *page->block(c);
-        for (int64_t r = 0; r < page->num_rows(); ++r) {
-          Value v = block.GetValue(r);
-          if (v.is_null()) {
-            ++nulls[c];
-            continue;
-          }
-          if (distinct[c].size() < 200000) distinct[c].insert(v.ToString());
-          if (mins[c].is_null() || v.Compare(mins[c]) < 0) mins[c] = v;
-          if (maxs[c].is_null() || v.Compare(maxs[c]) > 0) maxs[c] = v;
-        }
-      }
-    }
-  }
-  for (size_t c = 0; c < ncols; ++c) {
-    ColumnStats cs;
-    cs.distinct_values = static_cast<int64_t>(distinct[c].size());
-    cs.null_fraction = stats.row_count == 0
-                           ? 0.0
-                           : static_cast<double>(nulls[c]) /
-                                 static_cast<double>(stats.row_count);
-    cs.min = mins[c];
-    cs.max = maxs[c];
-    stats.columns[info->schema.at(c).name] = std::move(cs);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    info->stats = std::move(stats);
+    ColumnStatsBuilder merged(info->schema);
+    for (const auto& [_, sketch] : info->file_stats) merged.Merge(sketch);
+    info->stats = merged.Build();
   }
   // Stats changed: cached TableStats for this table are now stale.
   metadata_->Bump(table_name);
@@ -460,14 +416,16 @@ Result<std::unique_ptr<DataSink>> HiveConnector::CreateDataSink(
            std::to_string(info->next_file_id++) + ".storc";
   }
   std::string table_name = table.name();
-  auto register_file = [this, table_name](const std::string& file) {
+  auto register_file = [this, table_name](const std::string& file,
+                                          const ColumnStatsBuilder& stats) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = tables_.find(table_name);
-    if (it != tables_.end()) it->second->files[""].push_back(file);
+    if (it == tables_.end()) return;
+    it->second->files[""].push_back(file);
+    it->second->file_stats[file] = stats;
   };
-  return std::unique_ptr<DataSink>(
-      new HiveDataSink(this, &dfs_, path, info->schema, config_.stripe_rows,
-                       register_file));
+  return std::unique_ptr<DataSink>(new HiveDataSink(
+      &dfs_, path, info->schema, config_.stripe_rows, register_file));
 }
 
 Result<std::string> HiveConnector::SerializeSplit(const Split& split) const {

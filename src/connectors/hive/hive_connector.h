@@ -54,8 +54,9 @@ class HiveConnector final : public Connector {
   Status LoadTable(const std::string& table_name,
                    const std::vector<Page>& pages);
 
-  /// Computes and caches table/column statistics by scanning (the paper's
-  /// ANALYZE; enables the cost-based optimizations of §IV-C).
+  /// Publishes table/column statistics (the paper's ANALYZE; enables the
+  /// cost-based optimizations of §IV-C) by merging the sketches recorded
+  /// when each storc file was written. Until then statistics are unknown.
   Status AnalyzeTable(const std::string& table_name);
 
   /// Aggregate lazy-materialization counters (§V-D experiment).
@@ -82,6 +83,8 @@ class HiveConnector final : public Connector {
     std::string partition_column;  // empty = unpartitioned
     // files per partition value ("" for unpartitioned).
     std::map<std::string, std::vector<std::string>> files;
+    // Column sketch of each storc file, recorded when it is written.
+    std::map<std::string, ColumnStatsBuilder> file_stats;
     TableStats stats;  // valid() only after AnalyzeTable
     bool pending = false;
     int64_t next_file_id = 0;

@@ -230,10 +230,13 @@ Result<BlockPtr> DecodeStorcChunk(const std::string& bytes, int64_t rows) {
 }
 
 StorcWriter::StorcWriter(RowSchema schema, int64_t stripe_rows)
-    : schema_(std::move(schema)), stripe_rows_(stripe_rows) {}
+    : schema_(std::move(schema)),
+      stats_(schema_),
+      stripe_rows_(stripe_rows) {}
 
 void StorcWriter::Append(const Page& page) {
   PRESTO_CHECK(page.num_columns() == schema_.size());
+  stats_.Add(page);
   buffered_.push_back(page);
   buffered_rows_ += page.num_rows();
   rows_written_ += page.num_rows();

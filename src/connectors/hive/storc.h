@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "connector/column_stats.h"
 #include "connector/connector.h"
 #include "connectors/hive/minidfs.h"
 #include "types/row_schema.h"
@@ -44,7 +45,9 @@ struct StorcFooter {
   int64_t total_rows = 0;
 };
 
-/// Buffers pages and encodes them into the storc byte format.
+/// Buffers pages and encodes them into the storc byte format. Every page
+/// appended is also sketched, so the finished file comes with its column
+/// statistics.
 class StorcWriter {
  public:
   explicit StorcWriter(RowSchema schema, int64_t stripe_rows = 16384);
@@ -56,10 +59,14 @@ class StorcWriter {
 
   int64_t rows_written() const { return rows_written_; }
 
+  /// Statistics of every row appended so far.
+  const ColumnStatsBuilder& column_stats() const { return stats_; }
+
  private:
   void FlushStripe();
 
   RowSchema schema_;
+  ColumnStatsBuilder stats_;
   int64_t stripe_rows_;
   std::vector<Page> buffered_;
   int64_t buffered_rows_ = 0;

@@ -1,6 +1,6 @@
 #include "connectors/memcon/memory_connector.h"
 
-#include <set>
+#include <algorithm>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -59,16 +59,12 @@ class VectorSplitSource final : public SplitSource {
 
 class MemoryDataSource final : public DataSource {
  public:
-  MemoryDataSource(std::shared_ptr<const std::vector<Page>> pages,
-                   size_t begin, size_t end, std::vector<int> columns)
-      : pages_(std::move(pages)),
-        pos_(begin),
-        end_(end),
-        columns_(std::move(columns)) {}
+  MemoryDataSource(std::vector<Page> pages, std::vector<int> columns)
+      : pages_(std::move(pages)), columns_(std::move(columns)) {}
 
   Result<std::optional<Page>> NextPage() override {
-    if (pos_ >= end_) return std::optional<Page>{};
-    const Page& page = (*pages_)[pos_++];
+    if (pos_ >= pages_.size()) return std::optional<Page>{};
+    const Page& page = pages_[pos_++];
     std::vector<BlockPtr> blocks;
     blocks.reserve(columns_.size());
     for (int c : columns_) {
@@ -81,9 +77,8 @@ class MemoryDataSource final : public DataSource {
   int64_t bytes_read() const override { return bytes_; }
 
  private:
-  std::shared_ptr<const std::vector<Page>> pages_;
-  size_t pos_;
-  size_t end_;
+  std::vector<Page> pages_;
+  size_t pos_ = 0;
   std::vector<int> columns_;
   int64_t bytes_ = 0;
 };
@@ -121,42 +116,20 @@ class MemoryConnector::Metadata final : public ConnectorMetadata {
       }
       data = it->second;
     }
-    TableStats stats;
-    stats.row_count = 0;
-    const RowSchema& schema = data->schema;
-    std::vector<std::set<std::string>> distinct(schema.size());
-    std::vector<int64_t> nulls(schema.size(), 0);
-    std::vector<Value> mins(schema.size());
-    std::vector<Value> maxs(schema.size());
-    for (const auto& page : data->pages) {
-      stats.row_count += page.num_rows();
-      for (size_t c = 0; c < schema.size(); ++c) {
-        const auto& block = page.block(c);
-        for (int64_t r = 0; r < page.num_rows(); ++r) {
-          Value v = block->GetValue(r);
-          if (v.is_null()) {
-            ++nulls[c];
-            continue;
-          }
-          if (distinct[c].size() < 100000) distinct[c].insert(v.ToString());
-          if (mins[c].is_null() || v.Compare(mins[c]) < 0) mins[c] = v;
-          if (maxs[c].is_null() || v.Compare(maxs[c]) > 0) maxs[c] = v;
-        }
-      }
+    // Merge on read: sketch only the pages appended since the last call.
+    // stats_mu, not the connector lock, guards the builder, so writers
+    // and scans are never blocked behind the sketch.
+    std::lock_guard<std::mutex> stats_lock(data->stats_mu);
+    std::vector<Page> appended;
+    {
+      std::lock_guard<std::mutex> lock(parent_->mu_);
+      appended.assign(data->pages.begin() + static_cast<std::ptrdiff_t>(
+                                               data->sketched_pages),
+                      data->pages.end());
     }
-    for (size_t c = 0; c < schema.size(); ++c) {
-      ColumnStats cs;
-      cs.distinct_values = static_cast<int64_t>(distinct[c].size());
-      cs.null_fraction =
-          stats.row_count == 0
-              ? 0.0
-              : static_cast<double>(nulls[c]) /
-                    static_cast<double>(stats.row_count);
-      cs.min = mins[c];
-      cs.max = maxs[c];
-      stats.columns[schema.at(c).name] = std::move(cs);
-    }
-    return stats;
+    for (const auto& page : appended) data->stats.Add(page);
+    data->sketched_pages += appended.size();
+    return data->stats.Build();
   }
 
   Result<TableHandlePtr> BeginCreateTable(const std::string& name,
@@ -165,6 +138,7 @@ class MemoryConnector::Metadata final : public ConnectorMetadata {
       std::lock_guard<std::mutex> lock(parent_->mu_);
       auto data = std::make_shared<TableData>();
       data->schema = schema;
+      data->stats = ColumnStatsBuilder(schema);
       data->pending = true;
       parent_->tables_[name] = data;
     }
@@ -235,11 +209,14 @@ Status MemoryConnector::CreateTable(const std::string& table_name,
       return Status::InvalidArgument("page width does not match schema");
     }
   }
+  auto data = std::make_shared<TableData>();
+  data->stats = ColumnStatsBuilder(schema);
+  for (const auto& page : pages) data->stats.Add(page);
+  data->sketched_pages = pages.size();
+  data->schema = std::move(schema);
+  data->pages = std::move(pages);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto data = std::make_shared<TableData>();
-    data->schema = std::move(schema);
-    data->pages = std::move(pages);
     tables_[table_name] = std::move(data);
   }
   metadata_->Bump(table_name);
@@ -293,20 +270,23 @@ Result<std::unique_ptr<DataSource>> MemoryConnector::CreateDataSource(
   if (mem_split == nullptr) {
     return Status::InvalidArgument("not a memory split");
   }
-  std::shared_ptr<TableData> data;
+  // Copy the split's page range under the lock: INSERT appends to the same
+  // vector concurrently. Pages share their blocks, so the copy is cheap.
+  std::vector<Page> pages;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = tables_.find(table.name());
     if (it == tables_.end()) {
       return Status::NotFound("memory table not found: " + table.name());
     }
-    data = it->second;
+    const std::vector<Page>& all = it->second->pages;
+    size_t end = std::min(mem_split->end(), all.size());
+    size_t begin = std::min(mem_split->begin(), end);
+    pages.assign(all.begin() + static_cast<std::ptrdiff_t>(begin),
+                 all.begin() + static_cast<std::ptrdiff_t>(end));
   }
-  // Snapshot the pages pointer: TableData::pages is stable while reads run
-  // (writers only create new tables).
-  auto pages = std::shared_ptr<const std::vector<Page>>(data, &data->pages);
-  return std::unique_ptr<DataSource>(new MemoryDataSource(
-      std::move(pages), mem_split->begin(), mem_split->end(), columns));
+  return std::unique_ptr<DataSource>(
+      new MemoryDataSource(std::move(pages), columns));
 }
 
 Result<std::unique_ptr<DataSink>> MemoryConnector::CreateDataSink(

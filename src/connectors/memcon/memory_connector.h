@@ -7,14 +7,17 @@
 #include <string>
 #include <vector>
 
+#include "connector/column_stats.h"
 #include "connector/connector.h"
 
 namespace presto {
 
 /// A minimal in-memory connector: tables are vectors of pages. Used by the
-/// quickstart example and as the fixture connector in unit tests. Computes
-/// exact table/column statistics on demand so the cost-based optimizer can
-/// be exercised without the hive substrate.
+/// quickstart example and as the fixture connector in unit tests. Keeps a
+/// ColumnStatsBuilder per table so the cost-based optimizer can be
+/// exercised without the hive substrate: CreateTable sketches the table's
+/// pages, and GetStats sketches only the pages appended since its previous
+/// call, so statistics cost O(appended rows), not a scan of the table.
 class MemoryConnector final : public Connector {
  public:
   explicit MemoryConnector(std::string name = "memory");
@@ -53,6 +56,9 @@ class MemoryConnector final : public Connector {
     RowSchema schema;
     std::vector<Page> pages;
     bool pending = false;  // CTAS target not yet committed
+    std::mutex stats_mu;  // taken before mu_, never after
+    ColumnStatsBuilder stats;  // describes pages[0, sketched_pages)
+    size_t sketched_pages = 0;
   };
 
   std::string name_;

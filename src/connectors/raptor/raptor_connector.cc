@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -192,7 +191,6 @@ Status RaptorConnector::LoadTable(const std::string& table_name,
     }
     info = it->second;
   }
-  size_t ncols = info->schema.size();
   size_t bcol = *info->schema.IndexOf(info->bucket_column);
   // Route rows into buckets by the hash of the bucket column (the same hash
   // both tables of a co-located join use).
@@ -206,13 +204,9 @@ Status RaptorConnector::LoadTable(const std::string& table_name,
       buckets[bucket].push_back(page.GetRow(r));
     }
   }
-  // Stats over everything loaded.
-  TableStats stats;
-  stats.row_count = 0;
-  std::vector<std::set<std::string>> distinct(ncols);
-  std::vector<int64_t> nulls(ncols, 0);
-  std::vector<Value> mins(ncols), maxs(ncols);
-
+  // Statistics over everything loaded: the merged sketches of the bucket
+  // files' writers.
+  ColumnStatsBuilder stats(info->schema);
   std::vector<TypeKind> types;
   for (const auto& col : info->schema.columns()) types.push_back(col.type);
   auto sort_col = info->sort_column.empty()
@@ -230,40 +224,19 @@ Status RaptorConnector::LoadTable(const std::string& table_name,
     PageBuilder builder(types);
     for (const auto& row : rows) {
       builder.AppendRow(row);
-      ++stats.row_count;
-      for (size_t c = 0; c < ncols; ++c) {
-        const Value& v = row[c];
-        if (v.is_null()) {
-          ++nulls[c];
-          continue;
-        }
-        if (distinct[c].size() < 200000) distinct[c].insert(v.ToString());
-        if (mins[c].is_null() || v.Compare(mins[c]) < 0) mins[c] = v;
-        if (maxs[c].is_null() || v.Compare(maxs[c]) > 0) maxs[c] = v;
-      }
       if (builder.num_rows() >= 4096) writer.Append(builder.Build());
     }
     if (builder.num_rows() > 0) writer.Append(builder.Build());
+    stats.Merge(writer.column_stats());
     std::string path = "/raptor/" + table_name + "/bucket-" +
                        std::to_string(b) + ".storc";
     PRESTO_RETURN_IF_ERROR(storage_.Write(path, writer.Finish()));
     std::lock_guard<std::mutex> lock(mu_);
     info->bucket_files[static_cast<size_t>(b)] = path;
   }
-  for (size_t c = 0; c < ncols; ++c) {
-    ColumnStats cs;
-    cs.distinct_values = static_cast<int64_t>(distinct[c].size());
-    cs.null_fraction = stats.row_count == 0
-                           ? 0.0
-                           : static_cast<double>(nulls[c]) /
-                                 static_cast<double>(stats.row_count);
-    cs.min = mins[c];
-    cs.max = maxs[c];
-    stats.columns[info->schema.at(c).name] = std::move(cs);
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    info->stats = std::move(stats);
+    info->stats = stats.Build();
   }
   metadata_->Bump(table_name);
   return Status::OK();

@@ -149,7 +149,7 @@ class ShardedStoreConnector::Metadata final : public ConnectorMetadata {
     if (it == parent_->tables_.end()) {
       return Status::NotFound("sharded table not found: " + table.name());
     }
-    return it->second->stats;
+    return it->second->stats.Build();
   }
 
   std::vector<DataLayout> GetLayouts(const TableHandle& table) const override {
@@ -218,6 +218,7 @@ Status ShardedStoreConnector::CreateTable(
     info->schema = std::move(schema);
     info->shard_column = shard_column;
     info->index_columns = std::move(index_columns);
+    info->stats = ColumnStatsBuilder(info->schema);
     for (int s = 0; s < config_.num_shards; ++s) {
       info->shards.push_back(std::make_shared<Shard>());
     }
@@ -239,21 +240,12 @@ Status ShardedStoreConnector::LoadTable(const std::string& table_name,
     info = it->second;
   }
   size_t shard_col = *info->schema.IndexOf(info->shard_column);
-  size_t ncols = info->schema.size();
-  TableStats stats;
-  stats.row_count = 0;
-  std::vector<std::set<std::string>> distinct(ncols);
-  std::vector<Value> mins(ncols), maxs(ncols);
+  // Each load appends rows, so its sketch merges into the table's.
+  ColumnStatsBuilder batch(info->schema);
   for (const auto& page : pages) {
+    batch.Add(page);
     for (int64_t r = 0; r < page.num_rows(); ++r) {
       std::vector<Value> row = page.GetRow(r);
-      ++stats.row_count;
-      for (size_t c = 0; c < ncols; ++c) {
-        if (row[c].is_null()) continue;
-        if (distinct[c].size() < 200000) distinct[c].insert(row[c].ToString());
-        if (mins[c].is_null() || row[c].Compare(mins[c]) < 0) mins[c] = row[c];
-        if (maxs[c].is_null() || row[c].Compare(maxs[c]) > 0) maxs[c] = row[c];
-      }
       auto shard = static_cast<size_t>(
           row[shard_col].Hash() %
           static_cast<uint64_t>(config_.num_shards));
@@ -276,16 +268,9 @@ Status ShardedStoreConnector::LoadTable(const std::string& table_name,
                        });
     }
   }
-  for (size_t c = 0; c < ncols; ++c) {
-    ColumnStats cs;
-    cs.distinct_values = static_cast<int64_t>(distinct[c].size());
-    cs.min = mins[c];
-    cs.max = maxs[c];
-    stats.columns[info->schema.at(c).name] = std::move(cs);
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    info->stats = std::move(stats);
+    info->stats.Merge(batch);
   }
   metadata_->Bump(table_name);
   return Status::OK();

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "connector/column_stats.h"
 #include "connector/connector.h"
 
 namespace presto {
@@ -71,7 +72,7 @@ class ShardedStoreConnector final : public Connector {
     std::string shard_column;
     std::vector<std::string> index_columns;
     std::vector<std::shared_ptr<Shard>> shards;
-    TableStats stats;
+    ColumnStatsBuilder stats;  // every row loaded so far
   };
 
   std::string name_;

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/hyperloglog.h"
 #include "common/string_utils.h"
 #include "vector/block_builder.h"
 #include "vector/decoded_block.h"
@@ -532,19 +533,13 @@ class CountDistinctAccumulator final : public Accumulator {
   std::vector<std::unordered_set<std::string>> sets_;
 };
 
-// HyperLogLog with 2^11 registers (standard error ~2.3%), mirroring
-// Presto's approx_distinct default accuracy class.
+// approx_distinct: one HyperLogLog per group; the intermediate state is the
+// raw register string ("" for a group that saw no value).
 class ApproxDistinctAccumulator final : public Accumulator {
  public:
-  static constexpr int kBits = 11;
-  static constexpr int kRegisters = 1 << kBits;
-
-  explicit ApproxDistinctAccumulator(TypeKind arg_type)
-      : arg_type_(arg_type) {}
-
   void Resize(int64_t n) override {
-    if (static_cast<size_t>(n) > regs_.size()) {
-      regs_.resize(static_cast<size_t>(n));
+    if (static_cast<size_t>(n) > sketches_.size()) {
+      sketches_.resize(static_cast<size_t>(n));
     }
   }
 
@@ -554,8 +549,7 @@ class ApproxDistinctAccumulator final : public Accumulator {
     d.Decode(arg);
     for (int64_t i = 0; i < rows; ++i) {
       if (d.IsNull(i)) continue;
-      uint64_t h = d.HashAt(i);
-      Observe(static_cast<size_t>(group_ids[i]), h);
+      sketches_[static_cast<size_t>(group_ids[i])].AddHash(d.HashAt(i));
     }
   }
 
@@ -567,16 +561,10 @@ class ApproxDistinctAccumulator final : public Accumulator {
       if (d.IsNull(i)) continue;
       std::string_view blob = d.StringAt(i);
       if (blob.empty()) continue;
-      if (blob.size() != kRegisters) {
+      if (blob.size() != HyperLogLog::kRegisters) {
         return Status::Internal("bad hll intermediate state");
       }
-      auto& regs = Registers(static_cast<size_t>(group_ids[i]));
-      for (int r = 0; r < kRegisters; ++r) {
-        auto v = static_cast<uint8_t>(blob[static_cast<size_t>(r)]);
-        if (v > regs[static_cast<size_t>(r)]) {
-          regs[static_cast<size_t>(r)] = v;
-        }
-      }
+      sketches_[static_cast<size_t>(group_ids[i])].MergeRegisters(blob);
     }
     return Status::OK();
   }
@@ -584,13 +572,7 @@ class ApproxDistinctAccumulator final : public Accumulator {
   BlockPtr BuildIntermediate(int64_t n) override {
     BlockBuilder b(TypeKind::kVarchar);
     for (int64_t i = 0; i < n; ++i) {
-      const auto& slot = regs_[static_cast<size_t>(i)];
-      if (slot.empty()) {
-        b.AppendString("");
-      } else {
-        b.AppendString(std::string_view(
-            reinterpret_cast<const char*>(slot.data()), slot.size()));
-      }
+      b.AppendString(sketches_[static_cast<size_t>(i)].registers());
     }
     return b.Build();
   }
@@ -598,57 +580,20 @@ class ApproxDistinctAccumulator final : public Accumulator {
   BlockPtr BuildFinal(int64_t n) override {
     std::vector<int64_t> counts(static_cast<size_t>(n), 0);
     for (int64_t i = 0; i < n; ++i) {
-      counts[static_cast<size_t>(i)] = Estimate(static_cast<size_t>(i));
+      counts[static_cast<size_t>(i)] =
+          sketches_[static_cast<size_t>(i)].Estimate();
     }
     return MakeBigintBlock(std::move(counts));
   }
 
   int64_t MemoryBytes() const override {
     int64_t total = 0;
-    for (const auto& r : regs_) total += static_cast<int64_t>(r.size());
+    for (const auto& s : sketches_) total += s.MemoryBytes();
     return total;
   }
 
  private:
-  std::vector<uint8_t>& Registers(size_t group) {
-    auto& slot = regs_[group];
-    if (slot.empty()) slot.resize(kRegisters, 0);
-    return slot;
-  }
-
-  void Observe(size_t group, uint64_t hash) {
-    auto& regs = Registers(group);
-    auto bucket = static_cast<size_t>(hash >> (64 - kBits));
-    uint64_t rest = hash << kBits;
-    uint8_t rank = 1;
-    while (rank <= 64 - kBits && (rest & (1ULL << 63)) == 0) {
-      ++rank;
-      rest <<= 1;
-    }
-    if (rank > regs[bucket]) regs[bucket] = rank;
-  }
-
-  int64_t Estimate(size_t group) const {
-    const auto& regs = regs_[group];
-    if (regs.empty()) return 0;
-    double sum = 0;
-    int zeros = 0;
-    for (uint8_t r : regs) {
-      sum += std::ldexp(1.0, -static_cast<int>(r));
-      if (r == 0) ++zeros;
-    }
-    const double m = kRegisters;
-    const double alpha = 0.7213 / (1.0 + 1.079 / m);
-    double est = alpha * m * m / sum;
-    if (est <= 2.5 * m && zeros > 0) {
-      // Linear counting for the small range.
-      est = m * std::log(m / static_cast<double>(zeros));
-    }
-    return static_cast<int64_t>(est + 0.5);
-  }
-
-  TypeKind arg_type_;
-  std::vector<std::vector<uint8_t>> regs_;
+  std::vector<HyperLogLog> sketches_;
 };
 
 }  // namespace
@@ -692,7 +637,7 @@ std::unique_ptr<Accumulator> CreateAccumulator(const AggregateSignature& sig) {
     case AggKind::kCountDistinct:
       return std::make_unique<CountDistinctAccumulator>(sig.arg_type);
     case AggKind::kApproxDistinct:
-      return std::make_unique<ApproxDistinctAccumulator>(sig.arg_type);
+      return std::make_unique<ApproxDistinctAccumulator>();
   }
   PRESTO_UNREACHABLE();
 }
