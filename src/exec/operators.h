@@ -10,6 +10,7 @@
 
 #include "exchange/http/exchange_http.h"
 #include "exec/group_by_hash.h"
+#include "exec/keys.h"
 #include "exec/operator.h"
 #include "exec/pages_index.h"
 #include "exec/spiller.h"
@@ -250,9 +251,11 @@ struct JoinBridge {
   std::atomic<bool> ready{false};
   std::vector<BlockPtr> columns;  // build columns + trailing null sentinel
   std::vector<int> key_columns;
-  int64_t rows = 0;               // excluding the sentinel
-  std::vector<int32_t> heads;     // hash buckets -> first row in chain
-  std::vector<int32_t> next;      // chain links
+  std::vector<DecodedBlock> keys;  // decoded key columns
+  std::vector<uint64_t> hashes;    // HashKeys of each row
+  int64_t rows = 0;                // excluding the sentinel
+  std::vector<int32_t> heads;      // hash buckets -> first row in chain
+  std::vector<int32_t> next;       // chain links
   uint64_t mask = 0;
   std::unique_ptr<std::atomic<uint8_t>[]> matched;  // right/full joins
 };
@@ -298,12 +301,18 @@ class HashProbeOperator final : public Operator {
  private:
   Result<std::optional<Page>> BuildOutput(
       const std::vector<int32_t>& probe_positions,
-      const std::vector<int32_t>& build_positions);
+      std::vector<int32_t> build_positions);
   Result<std::optional<Page>> EmitUnmatchedBuild();
+  /// Matches the next batch of probe rows: about 8192 output positions.
+  void ProbeBatch(std::vector<int32_t>* probe_positions,
+                  std::vector<int32_t>* build_positions);
 
   std::shared_ptr<const JoinNode> node_;
   std::shared_ptr<JoinBridge> bridge_;
   std::optional<Page> probe_page_;
+  std::vector<DecodedBlock> probe_keys_;  // of probe_page_
+  std::vector<uint64_t> probe_hashes_;    // HashKeys of probe_page_
+  std::vector<uint8_t> probe_null_keys_;  // NullKeyRows of probe_page_
   int64_t probe_row_ = 0;
   bool emit_unmatched_build_;
   bool unmatched_emitted_ = false;
@@ -338,9 +347,14 @@ class OrderByOperator final : public Operator, public Revocable {
     std::vector<Page> pages;
     size_t page = 0;
     int64_t row = 0;
+    KeyComparator keys;  // over pages[page]
+    int slot = -1;       // pages[page]'s index in the batch being gathered
+    /// Skips exhausted pages; false once the run is drained.
+    bool Valid(const std::vector<SortKey>& sort_keys);
   };
   std::vector<RunCursor> runs_;
   std::vector<int32_t> sorted_;  // in-memory sorted row order
+  KeyComparator index_keys_;     // over index_.columns()
   size_t emit_pos_ = 0;
   bool sorted_ready_ = false;
   bool output_done_ = false;
@@ -357,10 +371,25 @@ class TopNOperator final : public Operator {
   bool IsFinished() override { return output_done_; }
 
  private:
-  void Prune(size_t target);
+  /// A candidate row: row `row` of pages_[page], the `seq`-th row seen.
+  struct Entry {
+    int32_t page;
+    int32_t row;
+    int64_t seq;
+  };
+  /// Key order, then arrival order (so ties keep the earlier row).
+  bool Before(const Entry& a, const Entry& b) const;
+  std::vector<RowRef> Refs() const;
+  /// Gathers the heap's rows into one page.
+  void Compact();
 
   std::shared_ptr<const TopNNode> node_;
-  std::vector<std::vector<Value>> rows_;
+  std::vector<TypeKind> types_;
+  std::vector<Page> pages_;          // hold every row the heap references
+  std::vector<KeyComparator> keys_;  // one per page
+  std::vector<Entry> heap_;          // max-heap by Before: worst row on top
+  int64_t retained_rows_ = 0;        // rows in pages_
+  int64_t next_seq_ = 0;
   bool output_done_ = false;
 };
 

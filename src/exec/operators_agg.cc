@@ -48,15 +48,16 @@ Status HashAggregationOperator::AddInput(Page page) {
   if (!error_.ok()) return error_;
   std::lock_guard<std::recursive_mutex> lock(revoke_mu_);
   ctx_->rows_in.fetch_add(page.num_rows());
-  std::vector<BlockPtr> keys;
-  keys.reserve(node_->group_keys().size());
-  for (int k : node_->group_keys()) {
-    keys.push_back(page.block(static_cast<size_t>(k)));
-  }
-  groups_.ComputeGroupIds(keys, page.num_rows(), &group_ids_);
-  // Global aggregations route every row to group 0.
   if (node_->group_keys().empty()) {
+    // Global aggregations route every row to group 0.
     group_ids_.assign(static_cast<size_t>(page.num_rows()), 0);
+  } else {
+    std::vector<BlockPtr> keys;
+    keys.reserve(node_->group_keys().size());
+    for (int k : node_->group_keys()) {
+      keys.push_back(page.block(static_cast<size_t>(k)));
+    }
+    groups_.ComputeGroupIds(keys, page.num_rows(), &group_ids_);
   }
   int64_t num_groups =
       node_->group_keys().empty() ? 1 : groups_.size();
@@ -143,11 +144,12 @@ Status HashAggregationOperator::MergeSpilledRuns() {
     PRESTO_ASSIGN_OR_RETURN(std::vector<Page> pages, spiller_.ReadRun(run));
     ctx_->serde_nanos.fetch_add(spiller_.serde_nanos() - serde_before);
     for (const Page& page : pages) {
-      std::vector<BlockPtr> keys;
-      for (size_t k = 0; k < num_keys; ++k) keys.push_back(page.block(k));
-      groups_.ComputeGroupIds(keys, page.num_rows(), &group_ids_);
       if (num_keys == 0) {
         group_ids_.assign(static_cast<size_t>(page.num_rows()), 0);
+      } else {
+        std::vector<BlockPtr> keys;
+        for (size_t k = 0; k < num_keys; ++k) keys.push_back(page.block(k));
+        groups_.ComputeGroupIds(keys, page.num_rows(), &group_ids_);
       }
       int64_t num_groups = num_keys == 0 ? 1 : groups_.size();
       for (size_t a = 0; a < accumulators_.size(); ++a) {

@@ -1,6 +1,6 @@
 #include "exec/operators.h"
 
-#include "common/hash.h"
+#include "exec/keys.h"
 #include "expr/evaluator.h"
 #include "vector/decoded_block.h"
 #include "vector/encoded_block.h"
@@ -8,23 +8,6 @@
 namespace presto {
 
 namespace {
-
-// Combined hash of the key columns at `row` (0 if any key is null, with a
-// null flag out-param: null keys never join).
-uint64_t HashKeys(const std::vector<BlockPtr>& columns,
-                  const std::vector<int>& keys, int64_t row, bool* any_null) {
-  uint64_t h = 0;
-  *any_null = false;
-  for (int k : keys) {
-    const auto& col = columns[static_cast<size_t>(k)];
-    if (col->IsNull(row)) {
-      *any_null = true;
-      return 0;
-    }
-    h = HashCombine(h, col->HashAt(row));
-  }
-  return h;
-}
 
 uint64_t NextPowerOfTwo(uint64_t n) {
   uint64_t p = 1;
@@ -65,16 +48,19 @@ void HashBuildOperator::NoMoreInput() {
   bridge_->key_columns = key_columns_;
   bridge_->rows = rows;
   if (!key_columns_.empty() && rows > 0) {
+    bridge_->keys = DecodeKeys(bridge_->columns, key_columns_);
+    HashKeys(bridge_->keys, rows, &bridge_->hashes);
+    std::vector<uint8_t> null_keys;
+    NullKeyRows(bridge_->keys, rows, &null_keys);
     uint64_t buckets = NextPowerOfTwo(static_cast<uint64_t>(rows) * 2);
     bridge_->heads.assign(buckets, -1);
     bridge_->next.assign(static_cast<size_t>(rows), -1);
     bridge_->mask = buckets - 1;
     for (int64_t r = 0; r < rows; ++r) {
-      bool any_null = false;
-      uint64_t h = HashKeys(bridge_->columns, key_columns_, r, &any_null);
-      if (any_null) continue;  // null keys never match
-      auto bucket = static_cast<size_t>(h & bridge_->mask);
-      bridge_->next[static_cast<size_t>(r)] = bridge_->heads[bucket];
+      auto row = static_cast<size_t>(r);
+      if (!null_keys.empty() && null_keys[row]) continue;  // never match
+      auto bucket = static_cast<size_t>(bridge_->hashes[row] & bridge_->mask);
+      bridge_->next[row] = bridge_->heads[bucket];
       bridge_->heads[bucket] = static_cast<int32_t>(r);
     }
   }
@@ -87,7 +73,8 @@ void HashBuildOperator::NoMoreInput() {
   for (const auto& col : bridge_->columns) bytes += col->SizeInBytes();
   (void)ctx_->SetMemoryUsage(
       bytes + static_cast<int64_t>(bridge_->heads.size() * 4 +
-                                   bridge_->next.size() * 4));
+                                   bridge_->next.size() * 4 +
+                                   bridge_->hashes.size() * 8));
   bridge_->ready.store(true);
 }
 
@@ -105,6 +92,11 @@ HashProbeOperator::HashProbeOperator(std::unique_ptr<OperatorContext> ctx,
 Status HashProbeOperator::AddInput(Page page) {
   PRESTO_RETURN_IF_ERROR(ctx_->CheckNotKilled());
   ctx_->rows_in.fetch_add(page.num_rows());
+  if (!node_->left_keys().empty()) {
+    probe_keys_ = DecodeKeys(page.blocks(), node_->left_keys());
+    HashKeys(probe_keys_, page.num_rows(), &probe_hashes_);
+    NullKeyRows(probe_keys_, page.num_rows(), &probe_null_keys_);
+  }
   probe_page_ = std::move(page);
   probe_row_ = 0;
   return Status::OK();
@@ -112,20 +104,27 @@ Status HashProbeOperator::AddInput(Page page) {
 
 Result<std::optional<Page>> HashProbeOperator::BuildOutput(
     const std::vector<int32_t>& probe_positions,
-    const std::vector<int32_t>& build_positions) {
+    std::vector<int32_t> build_positions) {
   if (probe_positions.empty()) return std::optional<Page>();
   auto rows = static_cast<int64_t>(probe_positions.size());
-  std::vector<BlockPtr> blocks;
-  // Probe columns: copy the matching positions.
-  Page probe_cols =
-      probe_page_->CopyPositions(probe_positions.data(), rows);
-  for (const auto& b : probe_cols.blocks()) blocks.push_back(b);
+  // Probe columns: the page itself when every row matched once (a join on
+  // a unique build key), else a copy of the matching positions.
+  bool whole_page = rows == probe_page_->num_rows();
+  for (int64_t i = 0; whole_page && i < rows; ++i) {
+    whole_page = probe_positions[static_cast<size_t>(i)] == i;
+  }
+  std::vector<BlockPtr> blocks =
+      whole_page ? probe_page_->blocks()
+                 : probe_page_->CopyPositions(probe_positions.data(), rows)
+                       .blocks();
   // Build columns: dictionary blocks over the build-side data — the paper's
   // compressed intermediate results for joins (§V-E). The trailing null
   // sentinel row represents non-matches in outer joins.
   for (size_t c = 0; c < bridge_->columns.size(); ++c) {
     blocks.push_back(std::make_shared<DictionaryBlock>(
-        bridge_->columns[c], build_positions));
+        bridge_->columns[c], c + 1 < bridge_->columns.size()
+                                 ? build_positions
+                                 : std::move(build_positions)));
   }
   Page out(std::move(blocks), rows);
   // Residual filter (only on inner/cross joins; enforced at plan time).
@@ -176,96 +175,108 @@ Result<std::optional<Page>> HashProbeOperator::EmitUnmatchedBuild() {
   return std::optional<Page>(Page(std::move(blocks), rows));
 }
 
-Result<std::optional<Page>> HashProbeOperator::GetOutput() {
-  PRESTO_RETURN_IF_ERROR(ctx_->CheckNotKilled());
-  if (!bridge_->ready.load()) return std::optional<Page>();
+void HashProbeOperator::ProbeBatch(std::vector<int32_t>* probe_positions,
+                                   std::vector<int32_t>* build_positions) {
   const bool preserve_probe = node_->join_type() == sql::JoinType::kLeft ||
                               node_->join_type() == sql::JoinType::kFull;
   const auto null_sentinel = static_cast<int32_t>(bridge_->rows);
-  if (probe_page_.has_value()) {
-    std::vector<int32_t> probe_positions;
-    std::vector<int32_t> build_positions;
-    const int64_t batch_limit = 8192;
-    const auto& probe_blocks = probe_page_->blocks();
-    while (probe_row_ < probe_page_->num_rows() &&
-           static_cast<int64_t>(probe_positions.size()) < batch_limit) {
-      int64_t row = probe_row_++;
-      if (node_->left_keys().empty()) {
-        // Cross join: match every build row.
-        for (int64_t b = 0; b < bridge_->rows; ++b) {
-          probe_positions.push_back(static_cast<int32_t>(row));
-          build_positions.push_back(static_cast<int32_t>(b));
-        }
-        if (bridge_->rows == 0 && preserve_probe) {
-          probe_positions.push_back(static_cast<int32_t>(row));
-          build_positions.push_back(null_sentinel);
-        }
-        continue;
+  const int64_t batch_limit = 8192;
+  const int64_t rows = probe_page_->num_rows();
+  if (node_->left_keys().empty()) {
+    // Cross join: match every build row.
+    while (probe_row_ < rows &&
+           static_cast<int64_t>(probe_positions->size()) < batch_limit) {
+      auto row = static_cast<int32_t>(probe_row_++);
+      for (int64_t b = 0; b < bridge_->rows; ++b) {
+        probe_positions->push_back(row);
+        build_positions->push_back(static_cast<int32_t>(b));
       }
-      bool any_null = false;
-      uint64_t h = 0;
-      {
-        // Hash the probe keys directly off the probe page blocks.
-        bool null_flag = false;
-        uint64_t combined = 0;
-        for (int k : node_->left_keys()) {
-          const auto& col = probe_blocks[static_cast<size_t>(k)];
-          if (col->IsNull(row)) {
-            null_flag = true;
-            break;
-          }
-          combined = HashCombine(combined, col->HashAt(row));
-        }
-        any_null = null_flag;
-        h = combined;
-      }
-      bool matched = false;
-      if (!any_null && bridge_->rows > 0 && !bridge_->heads.empty()) {
-        auto bucket = static_cast<size_t>(h & bridge_->mask);
-        for (int32_t b = bridge_->heads[bucket]; b >= 0;
-             b = bridge_->next[static_cast<size_t>(b)]) {
-          bool equal = true;
-          for (size_t k = 0; k < node_->left_keys().size(); ++k) {
-            const auto& probe_col =
-                probe_blocks[static_cast<size_t>(node_->left_keys()[k])];
-            const auto& build_col =
-                bridge_->columns[static_cast<size_t>(
-                    bridge_->key_columns[k])];
-            if (!probe_col->EqualsAt(row, *build_col, b)) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            matched = true;
-            probe_positions.push_back(static_cast<int32_t>(row));
-            build_positions.push_back(b);
-            if (bridge_->matched != nullptr) {
-              bridge_->matched[static_cast<size_t>(b)].store(1);
-            }
-          }
-        }
-      }
-      if (!matched && preserve_probe) {
-        probe_positions.push_back(static_cast<int32_t>(row));
-        build_positions.push_back(null_sentinel);
+      if (bridge_->rows == 0 && preserve_probe) {
+        probe_positions->push_back(row);
+        build_positions->push_back(null_sentinel);
       }
     }
+    return;
+  }
+  // Candidates: the build rows on each probe row's chain with its hash.
+  const int64_t first = probe_row_;
+  probe_positions->reserve(static_cast<size_t>(batch_limit));
+  build_positions->reserve(static_cast<size_t>(batch_limit));
+  while (probe_row_ < rows &&
+         static_cast<int64_t>(probe_positions->size()) +
+                 (preserve_probe ? probe_row_ - first : 0) <
+             batch_limit) {
+    int64_t row = probe_row_++;
+    auto r = static_cast<size_t>(row);
+    if (bridge_->heads.empty() ||
+        (!probe_null_keys_.empty() && probe_null_keys_[r])) {
+      continue;  // null keys never match
+    }
+    uint64_t h = probe_hashes_[r];
+    for (int32_t b = bridge_->heads[static_cast<size_t>(h & bridge_->mask)];
+         b >= 0; b = bridge_->next[static_cast<size_t>(b)]) {
+      if (bridge_->hashes[static_cast<size_t>(b)] == h) {
+        probe_positions->push_back(static_cast<int32_t>(row));
+        build_positions->push_back(b);
+      }
+    }
+  }
+  // Keep the candidates whose keys are equal, one key column at a time.
+  size_t matches = probe_positions->size();
+  for (size_t k = 0; k < probe_keys_.size() && matches > 0; ++k) {
+    matches = RetainEqualKeys(probe_keys_[k], bridge_->keys[k],
+                              probe_positions->data(),
+                              build_positions->data(), matches);
+  }
+  probe_positions->resize(matches);
+  build_positions->resize(matches);
+  if (bridge_->matched != nullptr) {
+    for (int32_t b : *build_positions) {
+      bridge_->matched[static_cast<size_t>(b)].store(1);
+    }
+  }
+  if (!preserve_probe) return;
+  // Outer probe side: an unmatched row pairs with the null-sentinel row,
+  // in probe order.
+  std::vector<int32_t> probe_out;
+  std::vector<int32_t> build_out;
+  size_t m = 0;
+  for (int64_t row = first; row < probe_row_; ++row) {
+    auto r = static_cast<int32_t>(row);
+    bool matched = false;
+    for (; m < matches && (*probe_positions)[m] == r; ++m) {
+      probe_out.push_back(r);
+      build_out.push_back((*build_positions)[m]);
+      matched = true;
+    }
+    if (!matched) {
+      probe_out.push_back(r);
+      build_out.push_back(null_sentinel);
+    }
+  }
+  probe_positions->swap(probe_out);
+  build_positions->swap(build_out);
+}
+
+Result<std::optional<Page>> HashProbeOperator::GetOutput() {
+  PRESTO_RETURN_IF_ERROR(ctx_->CheckNotKilled());
+  if (!bridge_->ready.load()) return std::optional<Page>();
+  // Probe until a batch produces output or the page is exhausted: returning
+  // nothing while the page is still pending would read as "no progress" to
+  // the driver, which would park a runnable driver.
+  while (probe_page_.has_value()) {
+    std::vector<int32_t> probe_positions;
+    std::vector<int32_t> build_positions;
+    ProbeBatch(&probe_positions, &build_positions);
     PRESTO_ASSIGN_OR_RETURN(
         std::optional<Page> out,
-        BuildOutput(probe_positions, build_positions));
-    if (probe_row_ >= probe_page_->num_rows() && out.has_value()) {
-      // Keep the page until BuildOutput no longer references it.
-      probe_page_.reset();
-      probe_row_ = 0;
-    } else if (probe_row_ >= probe_page_->num_rows()) {
+        BuildOutput(probe_positions, std::move(build_positions)));
+    if (probe_row_ >= probe_page_->num_rows()) {
+      // The output holds its own references to what it uses of the page.
       probe_page_.reset();
       probe_row_ = 0;
     }
     if (out.has_value()) return out;
-    // Fall through: batch produced nothing (e.g. all filtered); try again
-    // next call.
-    return std::optional<Page>();
   }
   if (no_more_input_) {
     if (emit_unmatched_build_ && !unmatched_emitted_) {

@@ -3,8 +3,7 @@
 #include <chrono>
 
 #include "common/fault_injection.h"
-#include "common/hash.h"
-#include "vector/decoded_block.h"
+#include "exec/keys.h"
 
 namespace presto {
 
@@ -86,14 +85,8 @@ Status ExchangeSinkOperator::AddInput(Page page) {
     case ExchangeKind::kRepartition: {
       // Hash-partition rows (§IV-C3).
       int64_t rows = page.num_rows();
-      std::vector<uint64_t> hashes(static_cast<size_t>(rows), 0);
-      for (int key : partition_keys_) {
-        const auto& block = page.block(static_cast<size_t>(key));
-        for (int64_t i = 0; i < rows; ++i) {
-          hashes[static_cast<size_t>(i)] = HashCombine(
-              hashes[static_cast<size_t>(i)], block->HashAt(i));
-        }
-      }
+      std::vector<uint64_t> hashes;
+      HashKeys(DecodeKeys(page.blocks(), partition_keys_), rows, &hashes);
       std::vector<std::vector<int32_t>> positions(
           static_cast<size_t>(partitions_));
       for (int64_t i = 0; i < rows; ++i) {

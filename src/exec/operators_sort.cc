@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "exec/keys.h"
+
 namespace presto {
 
 // ---- OrderByOperator ----
@@ -51,10 +53,7 @@ int64_t OrderByOperator::Revoke() {
   index_.Finish(false);
   std::vector<int32_t> order(static_cast<size_t>(index_.num_rows()));
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [this](int32_t a, int32_t b) {
-                     return index_.CompareRows(node_->keys(), a, b) < 0;
-                   });
+  KeyComparator(index_.columns(), node_->keys()).Sort(&order);
   Page sorted = Page(index_.columns(), index_.num_rows())
                     .CopyPositions(order.data(),
                                    static_cast<int64_t>(order.size()));
@@ -77,6 +76,19 @@ int64_t OrderByOperator::Revoke() {
 
 void OrderByOperator::NoMoreInput() { Operator::NoMoreInput(); }
 
+bool OrderByOperator::RunCursor::Valid(
+    const std::vector<SortKey>& sort_keys) {
+  while (page < pages.size() && row >= pages[page].num_rows()) {
+    ++page;
+    row = 0;
+    slot = -1;
+    if (page < pages.size()) {
+      keys = KeyComparator(pages[page].blocks(), sort_keys);
+    }
+  }
+  return page < pages.size();
+}
+
 Result<std::optional<Page>> OrderByOperator::GetOutput() {
   PRESTO_RETURN_IF_ERROR(ctx_->CheckNotKilled());
   if (!error_.ok()) return error_;
@@ -86,132 +98,184 @@ Result<std::optional<Page>> OrderByOperator::GetOutput() {
     index_.Finish(false);
     sorted_.resize(static_cast<size_t>(index_.num_rows()));
     std::iota(sorted_.begin(), sorted_.end(), 0);
-    std::stable_sort(sorted_.begin(), sorted_.end(),
-                     [this](int32_t a, int32_t b) {
-                       return index_.CompareRows(node_->keys(), a, b) < 0;
-                     });
+    index_keys_ = KeyComparator(index_.columns(), node_->keys());
+    index_keys_.Sort(&sorted_);
     // Load spilled runs for the k-way merge.
     for (int run = 0; run < spiller_.num_runs(); ++run) {
       int64_t serde_before = spiller_.serde_nanos();
       PRESTO_ASSIGN_OR_RETURN(std::vector<Page> pages, spiller_.ReadRun(run));
       ctx_->serde_nanos.fetch_add(spiller_.serde_nanos() - serde_before);
-      runs_.push_back(RunCursor{std::move(pages), 0, 0});
+      RunCursor cursor;
+      cursor.pages = std::move(pages);
+      if (!cursor.pages.empty()) {
+        cursor.keys = KeyComparator(cursor.pages[0].blocks(), node_->keys());
+      }
+      runs_.push_back(std::move(cursor));
     }
     sorted_ready_ = true;
   }
-  // Merge: in-memory sorted rows + sorted runs.
   const int64_t batch = 4096;
-  std::vector<TypeKind> types = types_;
-  PageBuilder builder(types);
-  auto in_memory_row = [this]() -> int64_t {
-    return emit_pos_ < sorted_.size() ? sorted_[emit_pos_] : -1;
-  };
-  while (builder.num_rows() < batch) {
-    // Candidates: the in-memory cursor and each run cursor.
-    int best_run = -2;  // -1 = in-memory, -2 = none
-    // Compare using a boxed row comparison through the sort keys.
-    auto better = [this](const std::vector<Value>& a,
-                         const std::vector<Value>& b) {
-      for (const auto& key : node_->keys()) {
-        int c = a[static_cast<size_t>(key.column)].Compare(
-            b[static_cast<size_t>(key.column)]);
-        if (c != 0) return (key.ascending ? c : -c) < 0;
+  Page in_memory(index_.columns(), index_.num_rows());
+  std::optional<Page> out;
+  if (runs_.empty()) {
+    // Nothing spilled: emit the sorted in-memory rows directly.
+    int64_t n = std::min<int64_t>(
+        batch, static_cast<int64_t>(sorted_.size() - emit_pos_));
+    if (n > 0) out = in_memory.CopyPositions(sorted_.data() + emit_pos_, n);
+    emit_pos_ += static_cast<size_t>(n);
+  } else {
+    // Merge the sorted runs and the sorted in-memory rows. On equal keys
+    // the earlier run wins and the in-memory rows (the latest input) come
+    // last, so the merge is stable.
+    std::vector<Page> sources;
+    std::vector<RowRef> refs;
+    int in_memory_slot = -1;
+    while (static_cast<int64_t>(refs.size()) < batch) {
+      RunCursor* best = nullptr;
+      for (RunCursor& cursor : runs_) {
+        if (!cursor.Valid(node_->keys())) continue;
+        if (best == nullptr ||
+            cursor.keys.Compare(cursor.row, best->keys, best->row) < 0) {
+          best = &cursor;
+        }
       }
-      return false;
-    };
-    std::vector<Value> best_row;
-    if (in_memory_row() >= 0) {
-      best_run = -1;
-      best_row = Page(index_.columns(), index_.num_rows())
-                     .GetRow(in_memory_row());
-    }
-    for (size_t r = 0; r < runs_.size(); ++r) {
-      RunCursor& cursor = runs_[r];
-      while (cursor.page < cursor.pages.size() &&
-             cursor.row >= cursor.pages[cursor.page].num_rows()) {
-        ++cursor.page;
-        cursor.row = 0;
-      }
-      if (cursor.page >= cursor.pages.size()) continue;
-      std::vector<Value> row = cursor.pages[cursor.page].GetRow(cursor.row);
-      if (best_run == -2 || better(row, best_row)) {
-        best_run = static_cast<int>(r);
-        best_row = std::move(row);
+      bool take_in_memory =
+          emit_pos_ < sorted_.size() &&
+          (best == nullptr ||
+           index_keys_.Compare(sorted_[emit_pos_], best->keys, best->row) < 0);
+      if (take_in_memory) {
+        if (in_memory_slot < 0) {
+          in_memory_slot = static_cast<int>(sources.size());
+          sources.push_back(in_memory);
+        }
+        refs.push_back({in_memory_slot, sorted_[emit_pos_++]});
+      } else if (best != nullptr) {
+        if (best->slot < 0) {
+          best->slot = static_cast<int>(sources.size());
+          sources.push_back(best->pages[best->page]);
+        }
+        refs.push_back({best->slot, static_cast<int32_t>(best->row++)});
+      } else {
+        break;
       }
     }
-    if (best_run == -2) break;
-    builder.AppendRow(best_row);
-    if (best_run == -1) {
-      ++emit_pos_;
-    } else {
-      ++runs_[static_cast<size_t>(best_run)].row;
-    }
+    for (RunCursor& cursor : runs_) cursor.slot = -1;
+    if (!refs.empty()) out = GatherRows(sources, types_, refs);
   }
-  if (builder.num_rows() == 0) {
+  if (!out.has_value()) {
     output_done_ = true;
     return std::optional<Page>();
   }
-  Page out = builder.Build();
-  ctx_->rows_out.fetch_add(out.num_rows());
-  return std::optional<Page>(std::move(out));
+  ctx_->rows_out.fetch_add(out->num_rows());
+  return out;
 }
 
 // ---- TopNOperator ----
 
 TopNOperator::TopNOperator(std::unique_ptr<OperatorContext> ctx,
                            std::shared_ptr<const TopNNode> node)
-    : Operator(std::move(ctx)), node_(std::move(node)) {}
+    : Operator(std::move(ctx)),
+      node_(std::move(node)),
+      types_([this] {
+        std::vector<TypeKind> types;
+        for (const auto& col : node_->output().columns()) {
+          types.push_back(col.type);
+        }
+        return types;
+      }()) {}
 
-void TopNOperator::Prune(size_t target) {
-  auto cmp = [this](const std::vector<Value>& a,
-                    const std::vector<Value>& b) {
-    for (const auto& key : node_->keys()) {
-      int c = a[static_cast<size_t>(key.column)].Compare(
-          b[static_cast<size_t>(key.column)]);
-      if (c != 0) return (key.ascending ? c : -c) < 0;
-    }
-    return false;
-  };
-  if (rows_.size() <= target) return;
-  std::nth_element(rows_.begin(),
-                   rows_.begin() + static_cast<ptrdiff_t>(target),
-                   rows_.end(), cmp);
-  rows_.resize(target);
+bool TopNOperator::Before(const Entry& a, const Entry& b) const {
+  int c = keys_[static_cast<size_t>(a.page)].Compare(
+      a.row, keys_[static_cast<size_t>(b.page)], b.row);
+  return c != 0 ? c < 0 : a.seq < b.seq;
 }
 
 Status TopNOperator::AddInput(Page page) {
   PRESTO_RETURN_IF_ERROR(ctx_->CheckNotKilled());
   ctx_->rows_in.fetch_add(page.num_rows());
-  for (int64_t r = 0; r < page.num_rows(); ++r) {
-    rows_.push_back(page.GetRow(r));
+  const auto n = static_cast<size_t>(node_->n());
+  if (n == 0 || page.num_rows() == 0) return Status::OK();
+  auto slot = static_cast<int32_t>(pages_.size());
+  keys_.emplace_back(page.blocks(), node_->keys());
+  pages_.push_back(std::move(page));
+  auto before = [this](const Entry& a, const Entry& b) { return Before(a, b); };
+  const KeyComparator& keys = keys_.back();
+  for (int64_t r = 0; r < pages_.back().num_rows(); ++r) {
+    Entry entry{slot, static_cast<int32_t>(r), next_seq_++};
+    if (heap_.size() < n) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), before);
+      continue;
+    }
+    // One typed compare rejects a row that does not sort strictly before
+    // the worst row kept (on a tie the earlier row stays).
+    const Entry& worst = heap_.front();
+    if (keys.Compare(r, keys_[static_cast<size_t>(worst.page)], worst.row) >=
+        0) {
+      continue;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), before);
+    heap_.back() = entry;
+    std::push_heap(heap_.begin(), heap_.end(), before);
   }
-  auto n = static_cast<size_t>(node_->n());
-  if (rows_.size() > 2 * n + 1024) Prune(n);
-  return ctx_->SetMemoryUsage(static_cast<int64_t>(rows_.size()) * 64);
+  // Retain only the page's rows that entered the heap.
+  std::vector<Entry*> entered;
+  for (Entry& e : heap_) {
+    if (e.page == slot) entered.push_back(&e);
+  }
+  if (entered.empty()) {
+    pages_.pop_back();
+    keys_.pop_back();
+  } else if (static_cast<int64_t>(entered.size()) < pages_.back().num_rows()) {
+    std::sort(entered.begin(), entered.end(),
+              [](const Entry* a, const Entry* b) { return a->row < b->row; });
+    std::vector<int32_t> positions;
+    positions.reserve(entered.size());
+    for (Entry* e : entered) {
+      positions.push_back(e->row);
+      e->row = static_cast<int32_t>(positions.size() - 1);
+    }
+    pages_.back() = pages_.back().CopyPositions(
+        positions.data(), static_cast<int64_t>(positions.size()));
+    keys_.back() = KeyComparator(pages_.back().blocks(), node_->keys());
+  }
+  retained_rows_ += static_cast<int64_t>(entered.size());
+  // Evicted rows still occupy their pages; once they are the majority,
+  // gather the kept rows into one page.
+  if (retained_rows_ > 2 * static_cast<int64_t>(heap_.size())) Compact();
+  int64_t bytes = static_cast<int64_t>(heap_.size() * sizeof(Entry));
+  for (const Page& p : pages_) bytes += p.SizeInBytes();
+  return ctx_->SetMemoryUsage(bytes);
+}
+
+std::vector<RowRef> TopNOperator::Refs() const {
+  std::vector<RowRef> refs;
+  refs.reserve(heap_.size());
+  for (const Entry& e : heap_) refs.push_back({e.page, e.row});
+  return refs;
+}
+
+void TopNOperator::Compact() {
+  Page kept = GatherRows(pages_, types_, Refs());
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    heap_[i].page = 0;
+    heap_[i].row = static_cast<int32_t>(i);
+  }
+  keys_.assign(1, KeyComparator(kept.blocks(), node_->keys()));
+  pages_.assign(1, std::move(kept));
+  retained_rows_ = static_cast<int64_t>(heap_.size());
 }
 
 Result<std::optional<Page>> TopNOperator::GetOutput() {
   PRESTO_RETURN_IF_ERROR(ctx_->CheckNotKilled());
   if (!no_more_input_ || output_done_) return std::optional<Page>();
   output_done_ = true;
-  Prune(static_cast<size_t>(node_->n()));
-  auto cmp = [this](const std::vector<Value>& a,
-                    const std::vector<Value>& b) {
-    for (const auto& key : node_->keys()) {
-      int c = a[static_cast<size_t>(key.column)].Compare(
-          b[static_cast<size_t>(key.column)]);
-      if (c != 0) return (key.ascending ? c : -c) < 0;
-    }
-    return false;
-  };
-  std::stable_sort(rows_.begin(), rows_.end(), cmp);
-  if (rows_.empty()) return std::optional<Page>();
-  std::vector<TypeKind> types;
-  for (const auto& col : node_->output().columns()) types.push_back(col.type);
-  PageBuilder builder(types);
-  for (const auto& row : rows_) builder.AppendRow(row);
-  ctx_->rows_out.fetch_add(builder.num_rows());
-  return std::optional<Page>(builder.Build());
+  if (heap_.empty()) return std::optional<Page>();
+  std::sort(heap_.begin(), heap_.end(),
+            [this](const Entry& a, const Entry& b) { return Before(a, b); });
+  Page out = GatherRows(pages_, types_, Refs());
+  ctx_->rows_out.fetch_add(out.num_rows());
+  return std::optional<Page>(std::move(out));
 }
 
 // ---- LimitOperator ----
@@ -276,16 +340,15 @@ Result<std::optional<Page>> WindowOperator::GetOutput() {
   for (const auto& k : node_->order_keys()) sort_keys.push_back(k);
   std::vector<int32_t> order(static_cast<size_t>(rows));
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int32_t a, int32_t b) {
-                     return index_.CompareRows(sort_keys, a, b) < 0;
-                   });
+  KeyComparator(index_.columns(), sort_keys).Sort(&order);
 
-  auto same_keys = [&](const std::vector<SortKey>& keys, int32_t a,
-                       int32_t b) { return index_.CompareRows(keys, a, b) == 0; };
   std::vector<SortKey> partition_keys;
   for (int p : node_->partition_keys()) partition_keys.push_back({p, true});
-  const auto& order_keys = node_->order_keys();
+  const KeyComparator partition_cmp(index_.columns(), partition_keys);
+  const KeyComparator order_cmp(index_.columns(), node_->order_keys());
+  auto same_keys = [](const KeyComparator& keys, int32_t a, int32_t b) {
+    return keys.Compare(a, b) == 0;
+  };
 
   // Compute each window function into a builder aligned with `order`.
   std::vector<BlockBuilder> builders;
@@ -297,8 +360,7 @@ Result<std::optional<Page>> WindowOperator::GetOutput() {
   auto n = static_cast<size_t>(rows);
   while (start < n) {
     size_t end = start + 1;
-    while (end < n && (partition_keys.empty() ||
-                       same_keys(partition_keys, order[start], order[end]))) {
+    while (end < n && same_keys(partition_cmp, order[start], order[end])) {
       ++end;
     }
     // Partition [start, end) in sorted order.
@@ -317,7 +379,7 @@ Result<std::optional<Page>> WindowOperator::GetOutput() {
           int64_t rank = 0;
           int64_t dense = 0;
           for (size_t i = start; i < end; ++i) {
-            if (i == start || !same_keys(order_keys, order[i - 1], order[i])) {
+            if (i == start || !same_keys(order_cmp, order[i - 1], order[i])) {
               rank = static_cast<int64_t>(i - start + 1);
               ++dense;
             }
@@ -330,7 +392,7 @@ Result<std::optional<Page>> WindowOperator::GetOutput() {
           // Default SQL frame: RANGE UNBOUNDED PRECEDING .. CURRENT ROW
           // (including peers); with no ORDER BY the frame is the whole
           // partition.
-          bool whole_partition = order_keys.empty();
+          bool whole_partition = node_->order_keys().empty();
           int64_t count = 0;
           double sum = 0;
           bool sum_valid = false;
@@ -394,7 +456,7 @@ Result<std::optional<Page>> WindowOperator::GetOutput() {
             while (i < end) {
               // Peer group [i, j).
               size_t j = i + 1;
-              while (j < end && same_keys(order_keys, order[i], order[j])) {
+              while (j < end && same_keys(order_cmp, order[i], order[j])) {
                 ++j;
               }
               for (size_t k = i; k < j; ++k) accumulate(k);

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "plan/plan_node.h"
 #include "vector/block_builder.h"
 #include "vector/page.h"
 
@@ -11,7 +10,8 @@ namespace presto {
 
 /// Accumulates pages and, on Finish(), concatenates them into one flat
 /// block per column for random access by row number. Backs hash-join build
-/// sides, sorting, and window evaluation.
+/// sides, sorting, and window evaluation; rows are ordered with a
+/// KeyComparator over columns().
 class PagesIndex {
  public:
   explicit PagesIndex(std::vector<TypeKind> types)
@@ -36,17 +36,6 @@ class PagesIndex {
   bool finished() const { return finished_; }
   const std::vector<BlockPtr>& columns() const { return columns_; }
 
-  /// Three-way comparison of rows by sort keys (columns must be finished).
-  int CompareRows(const std::vector<SortKey>& keys, int64_t a,
-                  int64_t b) const {
-    for (const auto& key : keys) {
-      const auto& col = columns_[static_cast<size_t>(key.column)];
-      int c = col->CompareAt(a, *col, b);
-      if (c != 0) return key.ascending ? c : -c;
-    }
-    return 0;
-  }
-
   /// Releases all state (spill).
   void Clear() {
     pages_.clear();
@@ -64,6 +53,19 @@ class PagesIndex {
   int64_t bytes_ = 0;
   bool finished_ = false;
 };
+
+/// A row of one of several pages.
+struct RowRef {
+  int32_t page;
+  int32_t row;
+};
+
+/// One flat page holding the rows `refs` point at, in order. Copies a column
+/// at a time with the type resolved once per column; `types` are the
+/// pages' column types.
+Page GatherRows(const std::vector<Page>& pages,
+                const std::vector<TypeKind>& types,
+                const std::vector<RowRef>& refs);
 
 }  // namespace presto
 

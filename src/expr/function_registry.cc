@@ -238,7 +238,17 @@ Value DivRow(const std::vector<Value>& args, TypeKind t) {
   return Value::Double(args[0].AsDouble() / d);
 }
 
-int CompareValues(const Value& a, const Value& b) { return a.Compare(b); }
+// Row form of the comparison operators. DOUBLE operands compare as the
+// typed kernels do (IEEE `<` and `>`), not in Value::Compare's sort order,
+// which places NaN above +Infinity.
+int CompareValues(const Value& a, const Value& b) {
+  if (a.type() == TypeKind::kDouble || b.type() == TypeKind::kDouble) {
+    double x = a.AsDouble();
+    double y = b.AsDouble();
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+  return a.Compare(b);
+}
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "types/value.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace presto {
@@ -27,10 +28,13 @@ int Value::Compare(const Value& other) const {
     if ((type_ == TypeKind::kBigint || type_ == TypeKind::kDouble) &&
         (other.type_ == TypeKind::kBigint ||
          other.type_ == TypeKind::kDouble)) {
+      // NaN sorts above +Infinity and equal to itself (Presto's order), so
+      // sorting DOUBLEs is a strict weak ordering; -0.0 equals 0.0.
       double a = AsDouble();
       double b = other.AsDouble();
       if (a < b) return -1;
       if (a > b) return 1;
+      if (std::isnan(a) != std::isnan(b)) return std::isnan(a) ? 1 : -1;
       return 0;
     }
   }

@@ -50,7 +50,8 @@ class Value {
   /// SQL equality: NULL never equals anything (returns false for any NULL).
   bool SqlEquals(const Value& other) const;
 
-  /// Total-order comparison for sorting: NULL sorts last; returns <0/0/>0.
+  /// Total-order comparison for sorting: NULL sorts last, DOUBLE NaN above
+  /// +Infinity; returns <0/0/>0.
   int Compare(const Value& other) const;
 
   /// Hash consistent with SqlEquals for non-null values.

@@ -4,6 +4,7 @@
 
 #include "exchange/exchange.h"
 #include "exec/group_by_hash.h"
+#include "exec/keys.h"
 #include "exec/pages_index.h"
 #include "exec/spiller.h"
 #include "memory/memory.h"
@@ -222,9 +223,9 @@ TEST(PagesIndexTest, ConcatenatesAndCompares) {
   EXPECT_EQ(index.num_rows(), 3);
   EXPECT_EQ(index.columns()[0]->size(), 4);  // + null sentinel
   EXPECT_TRUE(index.columns()[0]->IsNull(3));
-  std::vector<SortKey> keys = {{0, true}};
-  EXPECT_LT(index.CompareRows(keys, 1, 0), 0);  // 1 < 3
-  EXPECT_GT(index.CompareRows(keys, 2, 1), 0);  // 2 > 1
+  KeyComparator keys(index.columns(), {{0, true}});
+  EXPECT_LT(keys.Compare(1, 0), 0);  // 1 < 3
+  EXPECT_GT(keys.Compare(2, 1), 0);  // 2 > 1
 }
 
 // ---- spiller ----
