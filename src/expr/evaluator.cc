@@ -112,9 +112,7 @@ Result<Value> EvalExprRow(const Expr& expr, const Page& page, int64_t row) {
       args.reserve(expr.children().size());
       for (const auto& c : expr.children()) {
         PRESTO_ASSIGN_OR_RETURN(Value v, EvalExprRow(*c, page, row));
-        if (fn->null_propagating && v.is_null()) {
-          return Value::Null(fn->return_type);
-        }
+        if (v.is_null()) return Value::Null(fn->return_type);
         args.push_back(std::move(v));
       }
       return fn->eval_row(args);
@@ -332,33 +330,7 @@ Result<BlockPtr> ExprEvaluator::EvalVector(const Expr& expr,
         PRESTO_ASSIGN_OR_RETURN(BlockPtr b, EvalVector(*c, input));
         args.push_back(std::move(b));
       }
-      const ScalarFunction* fn = expr.function();
-      if (fn->eval_vector) return fn->eval_vector(args, rows);
-      // Fallback: boxed loop with null propagation.
-      std::vector<DecodedBlock> decoded(args.size());
-      for (size_t i = 0; i < args.size(); ++i) decoded[i].Decode(args[i]);
-      BlockBuilder builder(fn->return_type);
-      std::vector<Value> row_args(args.size());
-      for (int64_t i = 0; i < rows; ++i) {
-        bool null = false;
-        if (fn->null_propagating) {
-          for (const auto& d : decoded) {
-            if (d.IsNull(i)) {
-              null = true;
-              break;
-            }
-          }
-        }
-        if (null) {
-          builder.AppendNull();
-          continue;
-        }
-        for (size_t a = 0; a < decoded.size(); ++a) {
-          row_args[a] = decoded[a].GetValue(i);
-        }
-        builder.AppendValue(fn->eval_row(row_args));
-      }
-      return builder.Build();
+      return expr.function()->eval_vector(args, rows);
     }
     case ExprKind::kCast: {
       PRESTO_ASSIGN_OR_RETURN(BlockPtr in,

@@ -1,9 +1,12 @@
 #include "expr/function_registry.h"
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 
-#include "common/check.h"
 #include "common/string_utils.h"
 #include "vector/decoded_block.h"
 #include "vector/encoded_block.h"
@@ -13,241 +16,290 @@ namespace presto {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Vectorized kernel helpers. Each helper decodes its argument blocks once,
-// then runs a tight, type-specialized loop — the C++ analogue of the unrolled
-// monomorphic loops Presto's bytecode generator targets (§V-B2).
+// One definition per overload (DESIGN.md §19). A scalar body is a plain C++
+// callable over native values; `Define<Sig>` generates both §V-B forms from
+// it: the boxed row function of the interpreter, and a columnar kernel whose
+// type-specialized loop is the C++ analogue of the monomorphic loops
+// Presto's bytecode generator emits (§V-B2).
 // ---------------------------------------------------------------------------
 
-// Builds the output block for fixed-width results.
-template <typename Out>
-BlockPtr MakeFlatResult(TypeKind type, std::vector<Out> values,
-                        std::vector<uint8_t> nulls, bool any_null) {
-  if (!any_null) nulls.clear();
-  return std::make_shared<FlatBlock<Out>>(type, std::move(values),
-                                          std::move(nulls));
-}
+// SQL types as signature tags. `In` is the native type a body receives for
+// the argument (and returns for the result; VARCHAR results may also be
+// std::string).
+struct Bigint {
+  static constexpr TypeKind kKind = TypeKind::kBigint;
+  using In = int64_t;
+};
+struct Date {
+  static constexpr TypeKind kKind = TypeKind::kDate;
+  using In = int64_t;
+};
+struct Double {
+  static constexpr TypeKind kKind = TypeKind::kDouble;
+  using In = double;
+};
+struct Boolean {
+  static constexpr TypeKind kKind = TypeKind::kBoolean;
+  using In = bool;
+};
+struct Varchar {
+  static constexpr TypeKind kKind = TypeKind::kVarchar;
+  using In = std::string_view;
+};
 
-// Binary kernel over fixed-width inputs In -> fixed-width Out.
-// F: void(In, In, Out*, bool* null).
-template <typename In, typename Out, typename F>
-BlockPtr BinaryKernel(const std::vector<BlockPtr>& args, int64_t rows,
-                      TypeKind out_type, F f) {
-  DecodedBlock a, b;
-  a.Decode(args[0]);
-  b.Decode(args[1]);
-  if (a.is_constant() && b.is_constant()) {
-    Out out{};
-    bool null = a.IsNull(0) || b.IsNull(0);
-    if (!null) f(a.ValueAt<In>(0), b.ValueAt<In>(0), &out, &null);
-    BlockPtr one = MakeFlatResult<Out>(out_type, {out},
-                                       {static_cast<uint8_t>(null ? 1 : 0)},
-                                       null);
-    return std::make_shared<RleBlock>(std::move(one), rows);
-  }
-  std::vector<Out> values(static_cast<size_t>(rows));
-  std::vector<uint8_t> nulls(static_cast<size_t>(rows), 0);
-  bool any_null = false;
-  const bool no_nulls = !a.MayHaveNulls() && !b.MayHaveNulls();
-  if (no_nulls) {
-    for (int64_t i = 0; i < rows; ++i) {
-      bool null = false;
-      f(a.ValueAt<In>(i), b.ValueAt<In>(i), &values[static_cast<size_t>(i)],
-        &null);
-      if (null) {
-        nulls[static_cast<size_t>(i)] = 1;
-        any_null = true;
-      }
-    }
+// Physical element type of a fixed-width column.
+template <typename T>
+using Stored = std::conditional_t<std::is_same_v<T, Boolean>, uint8_t,
+                                  typename T::In>;
+
+// A body that can yield NULL or fail a row declares `-> Maybe<T>` and
+// returns a value, `kNull` or `Fail{"message"}`. The message is a string
+// literal, so the success path carries no Status and allocates nothing.
+struct NullOutcome {};
+constexpr NullOutcome kNull{};
+struct Fail {
+  const char* message;
+};
+
+template <typename T>
+struct Maybe {
+  Maybe(T v) : value(std::move(v)) {}  // NOLINT(runtime/explicit)
+  Maybe(NullOutcome) : null(true) {}   // NOLINT(runtime/explicit)
+  Maybe(Fail f) : error(f.message) {}  // NOLINT(runtime/explicit)
+  T value{};
+  bool null = false;
+  const char* error = nullptr;
+};
+
+template <typename R>
+struct IsMaybe : std::false_type {};
+template <typename T>
+struct IsMaybe<Maybe<T>> : std::true_type {};
+
+template <typename T>
+typename T::In Read(const DecodedBlock& d, int64_t i) {
+  if constexpr (std::is_same_v<T, Varchar>) {
+    return d.StringAt(i);
+  } else if constexpr (std::is_same_v<T, Boolean>) {
+    return d.ValueAt<uint8_t>(i) != 0;
   } else {
-    for (int64_t i = 0; i < rows; ++i) {
-      if (a.IsNull(i) || b.IsNull(i)) {
-        nulls[static_cast<size_t>(i)] = 1;
-        any_null = true;
-        continue;
-      }
-      bool null = false;
-      f(a.ValueAt<In>(i), b.ValueAt<In>(i), &values[static_cast<size_t>(i)],
-        &null);
-      if (null) {
-        nulls[static_cast<size_t>(i)] = 1;
-        any_null = true;
-      }
-    }
-  }
-  return MakeFlatResult<Out>(out_type, std::move(values), std::move(nulls),
-                             any_null);
-}
-
-// Unary kernel over fixed-width input In -> Out.
-template <typename In, typename Out, typename F>
-BlockPtr UnaryKernel(const std::vector<BlockPtr>& args, int64_t rows,
-                     TypeKind out_type, F f) {
-  DecodedBlock a;
-  a.Decode(args[0]);
-  if (a.is_constant()) {
-    Out out{};
-    bool null = a.IsNull(0);
-    if (!null) f(a.ValueAt<In>(0), &out, &null);
-    BlockPtr one = MakeFlatResult<Out>(out_type, {out},
-                                       {static_cast<uint8_t>(null ? 1 : 0)},
-                                       null);
-    return std::make_shared<RleBlock>(std::move(one), rows);
-  }
-  std::vector<Out> values(static_cast<size_t>(rows));
-  std::vector<uint8_t> nulls(static_cast<size_t>(rows), 0);
-  bool any_null = false;
-  for (int64_t i = 0; i < rows; ++i) {
-    if (a.IsNull(i)) {
-      nulls[static_cast<size_t>(i)] = 1;
-      any_null = true;
-      continue;
-    }
-    bool null = false;
-    f(a.ValueAt<In>(i), &values[static_cast<size_t>(i)], &null);
-    if (null) {
-      nulls[static_cast<size_t>(i)] = 1;
-      any_null = true;
-    }
-  }
-  return MakeFlatResult<Out>(out_type, std::move(values), std::move(nulls),
-                             any_null);
-}
-
-// Binary kernel over VARCHAR inputs -> fixed-width Out.
-// F: void(string_view, string_view, Out*, bool*).
-template <typename Out, typename F>
-BlockPtr BinaryStringKernel(const std::vector<BlockPtr>& args, int64_t rows,
-                            TypeKind out_type, F f) {
-  DecodedBlock a, b;
-  a.Decode(args[0]);
-  b.Decode(args[1]);
-  std::vector<Out> values(static_cast<size_t>(rows));
-  std::vector<uint8_t> nulls(static_cast<size_t>(rows), 0);
-  bool any_null = false;
-  for (int64_t i = 0; i < rows; ++i) {
-    if (a.IsNull(i) || b.IsNull(i)) {
-      nulls[static_cast<size_t>(i)] = 1;
-      any_null = true;
-      continue;
-    }
-    bool null = false;
-    f(a.StringAt(i), b.StringAt(i), &values[static_cast<size_t>(i)], &null);
-    if (null) {
-      nulls[static_cast<size_t>(i)] = 1;
-      any_null = true;
-    }
-  }
-  return MakeFlatResult<Out>(out_type, std::move(values), std::move(nulls),
-                             any_null);
-}
-
-// Comparison dispatcher used for all orderable types. `cmp_sign` maps the
-// three-way comparison to a boolean: returns f(compare_result).
-template <typename F>
-uint8_t BoolOf(F f, int c) {
-  return f(c) ? 1 : 0;
-}
-
-template <typename F>
-BlockPtr CompareKernel(TypeKind arg_type, const std::vector<BlockPtr>& args,
-                       int64_t rows, F accept) {
-  switch (arg_type) {
-    case TypeKind::kBigint:
-    case TypeKind::kDate:
-      return BinaryKernel<int64_t, uint8_t>(
-          args, rows, TypeKind::kBoolean,
-          [accept](int64_t x, int64_t y, uint8_t* out, bool*) {
-            int c = x < y ? -1 : (x > y ? 1 : 0);
-            *out = BoolOf(accept, c);
-          });
-    case TypeKind::kDouble:
-      return BinaryKernel<double, uint8_t>(
-          args, rows, TypeKind::kBoolean,
-          [accept](double x, double y, uint8_t* out, bool*) {
-            int c = x < y ? -1 : (x > y ? 1 : 0);
-            *out = BoolOf(accept, c);
-          });
-    case TypeKind::kBoolean:
-      return BinaryKernel<uint8_t, uint8_t>(
-          args, rows, TypeKind::kBoolean,
-          [accept](uint8_t x, uint8_t y, uint8_t* out, bool*) {
-            int c = x < y ? -1 : (x > y ? 1 : 0);
-            *out = BoolOf(accept, c);
-          });
-    case TypeKind::kVarchar:
-      return BinaryStringKernel<uint8_t>(
-          args, rows, TypeKind::kBoolean,
-          [accept](std::string_view x, std::string_view y, uint8_t* out,
-                   bool*) {
-            int c = x.compare(y);
-            c = c < 0 ? -1 : (c > 0 ? 1 : 0);
-            *out = BoolOf(accept, c);
-          });
-    default:
-      PRESTO_UNREACHABLE();
+    return d.ValueAt<typename T::In>(i);
   }
 }
 
-// Builds a varchar result row by row through a builder lambda.
-// F: void(int64_t row, std::string* out, bool* null) for non-null rows.
-template <typename F>
-BlockPtr VarcharResultKernel(int64_t rows,
-                             const std::function<bool(int64_t)>& is_null,
-                             F f) {
-  std::vector<int32_t> offsets;
-  offsets.reserve(static_cast<size_t>(rows) + 1);
-  offsets.push_back(0);
-  std::string bytes;
-  std::vector<uint8_t> nulls(static_cast<size_t>(rows), 0);
-  bool any_null = false;
-  std::string scratch;
-  for (int64_t i = 0; i < rows; ++i) {
-    if (is_null(i)) {
-      nulls[static_cast<size_t>(i)] = 1;
-      any_null = true;
+template <typename T>
+typename T::In Unbox(const Value& v) {
+  if constexpr (std::is_same_v<T, Varchar>) {
+    return v.AsVarchar();
+  } else if constexpr (std::is_same_v<T, Boolean>) {
+    return v.AsBoolean();
+  } else if constexpr (std::is_same_v<T, Double>) {
+    return v.AsDouble();
+  } else {
+    return v.AsBigint();  // BIGINT and DATE share the int64_t payload
+  }
+}
+
+template <typename T, typename V>
+Value Box(const V& v) {
+  if constexpr (std::is_same_v<T, Varchar>) {
+    return Value::Varchar(std::string(v));
+  } else if constexpr (std::is_same_v<T, Boolean>) {
+    return Value::Boolean(v);
+  } else if constexpr (std::is_same_v<T, Double>) {
+    return Value::Double(v);
+  } else if constexpr (std::is_same_v<T, Date>) {
+    return Value::Date(v);
+  } else {
+    return Value::Bigint(v);
+  }
+}
+
+// A kernel's output column. Rows are written in order, each exactly once.
+template <typename T>
+class ColumnWriter {
+ public:
+  explicit ColumnWriter(int64_t rows)
+      : rows_(rows), values_(static_cast<size_t>(rows)) {}
+
+  void Set(int64_t i, typename T::In v) {
+    values_[static_cast<size_t>(i)] = static_cast<Stored<T>>(v);
+  }
+  void SetNull(int64_t i) {
+    if (nulls_.empty()) nulls_.resize(static_cast<size_t>(rows_), 0);
+    nulls_[static_cast<size_t>(i)] = 1;
+  }
+  BlockPtr Build() {
+    return std::make_shared<FlatBlock<Stored<T>>>(T::kKind, std::move(values_),
+                                                  std::move(nulls_));
+  }
+
+ private:
+  int64_t rows_;
+  std::vector<Stored<T>> values_;
+  std::vector<uint8_t> nulls_;
+};
+
+template <>
+class ColumnWriter<Varchar> {
+ public:
+  explicit ColumnWriter(int64_t rows) : rows_(rows) {
+    offsets_.reserve(static_cast<size_t>(rows) + 1);
+    offsets_.push_back(0);
+  }
+
+  void Set(int64_t, std::string_view v) {
+    bytes_.append(v);
+    offsets_.push_back(static_cast<int32_t>(bytes_.size()));
+  }
+  void SetNull(int64_t i) {
+    if (nulls_.empty()) nulls_.resize(static_cast<size_t>(rows_), 0);
+    nulls_[static_cast<size_t>(i)] = 1;
+    offsets_.push_back(static_cast<int32_t>(bytes_.size()));
+  }
+  BlockPtr Build() {
+    return std::make_shared<VarcharBlock>(
+        std::move(offsets_), std::move(bytes_), std::move(nulls_));
+  }
+
+ private:
+  int64_t rows_;
+  std::vector<int32_t> offsets_;
+  std::string bytes_;
+  std::vector<uint8_t> nulls_;
+};
+
+template <typename Sig>
+struct Adaptor;
+
+// Both forms of a body with result type R and argument types A...; a NULL
+// argument yields NULL without running the body.
+template <typename R, typename... A>
+struct Adaptor<R(A...)> {
+  static constexpr TypeKind kReturn = R::kKind;
+  static constexpr size_t kArity = sizeof...(A);
+  static std::vector<TypeKind> ArgTypes() { return {A::kKind...}; }
+  using Args = std::index_sequence_for<A...>;
+  using Decoded = std::array<DecodedBlock, kArity>;
+
+  template <typename F, size_t... I>
+  static Result<Value> Row(const F& body, const std::vector<Value>& args,
+                           std::index_sequence<I...>) {
+    auto result = body(Unbox<A>(args[I])...);
+    if constexpr (IsMaybe<decltype(result)>::value) {
+      if (result.error != nullptr) return Status::InvalidArgument(result.error);
+      if (result.null) return Value::Null(R::kKind);
+      return Box<R>(result.value);
     } else {
-      scratch.clear();
-      bool null = false;
-      f(i, &scratch, &null);
-      if (null) {
-        nulls[static_cast<size_t>(i)] = 1;
-        any_null = true;
-      } else {
-        bytes += scratch;
+      return Box<R>(result);
+    }
+  }
+
+  // Runs the body on row i and writes its value or NULL; returns the body's
+  // error message, or nullptr.
+  template <typename F, size_t... I>
+  static const char* Apply(const F& body, const Decoded& args, int64_t i,
+                           ColumnWriter<R>* out, std::index_sequence<I...>) {
+    auto result = body(Read<A>(args[I], i)...);
+    if constexpr (IsMaybe<decltype(result)>::value) {
+      if (result.error != nullptr) return result.error;
+      if (result.null) {
+        out->SetNull(i);
+        return nullptr;
+      }
+      out->Set(i, result.value);
+    } else {
+      out->Set(i, result);
+    }
+    return nullptr;
+  }
+
+  static bool AnyNull(const Decoded& args, int64_t i) {
+    for (const auto& a : args) {
+      if (a.IsNull(i)) return true;
+    }
+    return false;
+  }
+
+  template <bool kMayHaveNulls, typename F>
+  static Result<BlockPtr> Loop(const F& body, const Decoded& decoded,
+                               int64_t rows) {
+    // Read a local copy, which the compiler keeps in registers: a BOOLEAN
+    // result is stored as uint8_t, which may alias the caller's decoders,
+    // so reading those would reload every decoder field on every row.
+    const Decoded args = decoded;
+    ColumnWriter<R> out(rows);
+    for (int64_t i = 0; i < rows; ++i) {
+      if (kMayHaveNulls && AnyNull(args, i)) {
+        out.SetNull(i);
+      } else if (const char* error = Apply(body, args, i, &out, Args{})) {
+        return Status::InvalidArgument(error);
       }
     }
-    offsets.push_back(static_cast<int32_t>(bytes.size()));
+    return out.Build();
   }
-  if (!any_null) nulls.clear();
-  return std::make_shared<VarcharBlock>(std::move(offsets), std::move(bytes),
-                                        std::move(nulls));
+
+  template <typename F>
+  static Result<BlockPtr> Column(const F& body,
+                                 const std::vector<BlockPtr>& blocks,
+                                 int64_t rows) {
+    Decoded args;
+    bool constant = true;
+    bool may_have_nulls = false;
+    for (size_t k = 0; k < kArity; ++k) {
+      args[k].Decode(blocks[k]);
+      constant = constant && args[k].is_constant();
+      may_have_nulls = may_have_nulls || args[k].MayHaveNulls();
+    }
+    if (constant) {
+      // Run the body once and repeat its result.
+      PRESTO_ASSIGN_OR_RETURN(BlockPtr one, Loop<true>(body, args, 1));
+      return BlockPtr(std::make_shared<RleBlock>(std::move(one), rows));
+    }
+    return may_have_nulls ? Loop<true>(body, args, rows)
+                          : Loop<false>(body, args, rows);
+  }
+};
+
+template <typename Sig, typename F>
+ScalarFunction Define(const char* name, F body) {
+  using Ad = Adaptor<Sig>;
+  return {name, Ad::ArgTypes(), Ad::kReturn,
+          [body](const std::vector<Value>& args) {
+            return Ad::Row(body, args, typename Ad::Args{});
+          },
+          [body](const std::vector<BlockPtr>& args, int64_t rows) {
+            return Ad::Column(body, args, rows);
+          }};
 }
 
-// ---------------------------------------------------------------------------
-// Row (interpreter) helpers.
-// ---------------------------------------------------------------------------
-
-Value DivRow(const std::vector<Value>& args, TypeKind t) {
-  if (t == TypeKind::kBigint) {
-    int64_t d = args[1].AsBigint();
-    if (d == 0) return Value::Null(TypeKind::kBigint);
-    return Value::Bigint(args[0].AsBigint() / d);
-  }
-  double d = args[1].AsDouble();
-  if (d == 0.0) return Value::Null(TypeKind::kDouble);
-  return Value::Double(args[0].AsDouble() / d);
-}
-
-// Row form of the comparison operators. DOUBLE operands compare as the
-// typed kernels do (IEEE `<` and `>`), not in Value::Compare's sort order,
-// which places NaN above +Infinity.
-int CompareValues(const Value& a, const Value& b) {
-  if (a.type() == TypeKind::kDouble || b.type() == TypeKind::kDouble) {
-    double x = a.AsDouble();
-    double y = b.AsDouble();
+// Three-way comparison behind `=`, `<`, …. DOUBLE compares through IEEE `<`
+// and `>`, so a NaN operand is neither less nor greater: it compares as
+// equal (DESIGN.md §19).
+template <typename T>
+int Compare3(T x, T y) {
+  if constexpr (std::is_same_v<T, std::string_view>) {
+    int c = x.compare(y);
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  } else {
     return x < y ? -1 : (x > y ? 1 : 0);
   }
-  return a.Compare(b);
+}
+
+// Value::Compare's sort order, behind greatest/least: NaN above +Infinity,
+// -0.0 equal to 0.0.
+template <typename T>
+int SortOrder(T x, T y) {
+  int c = Compare3(x, y);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (c == 0 && std::isnan(x) != std::isnan(y)) c = std::isnan(x) ? 1 : -1;
+  }
+  return c;
+}
+
+// year/month/day: the field at [pos, pos + len) of the "YYYY-MM-DD" text.
+int64_t DateField(int64_t days, size_t pos, size_t len) {
+  return std::atoll(FormatDate(days).substr(pos, len).c_str());
 }
 
 }  // namespace
@@ -263,14 +315,6 @@ const FunctionRegistry& FunctionRegistry::Instance() {
 
 void FunctionRegistry::Register(ScalarFunction fn) {
   functions_.push_back(std::move(fn));
-}
-
-std::vector<std::string> FunctionRegistry::FunctionNames() const {
-  std::vector<std::string> names;
-  for (const auto& f : functions_) {
-    if (names.empty() || names.back() != f.name) names.push_back(f.name);
-  }
-  return names;
 }
 
 Result<const ScalarFunction*> FunctionRegistry::Resolve(
@@ -320,455 +364,153 @@ Result<const ScalarFunction*> FunctionRegistry::Resolve(
 }
 
 FunctionRegistry::FunctionRegistry() {
-  using TK = TypeKind;
-  const TK B = TK::kBigint;
-  const TK D = TK::kDouble;
-  const TK V = TK::kVarchar;
-  const TK BO = TK::kBoolean;
-  const TK DT = TK::kDate;
-
   // ---- Arithmetic ----
-  auto arith = [&](const std::string& nm, auto lf, auto df, auto lrow,
-                   auto drow) {
-    Register({nm, {B, B}, B, true, lrow,
-              [lf](const std::vector<BlockPtr>& a, int64_t n) {
-                return BinaryKernel<int64_t, int64_t>(a, n, TK::kBigint, lf);
-              }});
-    Register({nm, {D, D}, D, true, drow,
-              [df](const std::vector<BlockPtr>& a, int64_t n) {
-                return BinaryKernel<double, double>(a, n, TK::kDouble, df);
-              }});
+  auto arithmetic = [this](const char* name, auto body) {
+    Register(Define<Bigint(Bigint, Bigint)>(name, body));
+    Register(Define<Double(Double, Double)>(name, body));
   };
-  arith(
-      "plus",
-      [](int64_t x, int64_t y, int64_t* o, bool*) { *o = x + y; },
-      [](double x, double y, double* o, bool*) { *o = x + y; },
-      [](const std::vector<Value>& a) {
-        return Value::Bigint(a[0].AsBigint() + a[1].AsBigint());
-      },
-      [](const std::vector<Value>& a) {
-        return Value::Double(a[0].AsDouble() + a[1].AsDouble());
-      });
-  arith(
-      "minus",
-      [](int64_t x, int64_t y, int64_t* o, bool*) { *o = x - y; },
-      [](double x, double y, double* o, bool*) { *o = x - y; },
-      [](const std::vector<Value>& a) {
-        return Value::Bigint(a[0].AsBigint() - a[1].AsBigint());
-      },
-      [](const std::vector<Value>& a) {
-        return Value::Double(a[0].AsDouble() - a[1].AsDouble());
-      });
-  arith(
-      "multiply",
-      [](int64_t x, int64_t y, int64_t* o, bool*) { *o = x * y; },
-      [](double x, double y, double* o, bool*) { *o = x * y; },
-      [](const std::vector<Value>& a) {
-        return Value::Bigint(a[0].AsBigint() * a[1].AsBigint());
-      },
-      [](const std::vector<Value>& a) {
-        return Value::Double(a[0].AsDouble() * a[1].AsDouble());
-      });
-  // Division by zero yields NULL (documented deviation: the engine has no
-  // per-row error channel; Presto raises a query error instead).
-  arith(
-      "divide",
-      [](int64_t x, int64_t y, int64_t* o, bool* null) {
-        if (y == 0) {
-          *null = true;
-        } else {
-          *o = x / y;
-        }
-      },
-      [](double x, double y, double* o, bool* null) {
-        if (y == 0.0) {
-          *null = true;
-        } else {
-          *o = x / y;
-        }
-      },
-      [](const std::vector<Value>& a) { return DivRow(a, TK::kBigint); },
-      [](const std::vector<Value>& a) { return DivRow(a, TK::kDouble); });
-  Register({"modulus",
-            {B, B},
-            B,
-            true,
-            [](const std::vector<Value>& a) {
-              int64_t d = a[1].AsBigint();
-              if (d == 0) return Value::Null(TK::kBigint);
-              return Value::Bigint(a[0].AsBigint() % d);
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return BinaryKernel<int64_t, int64_t>(
-                  a, n, TK::kBigint,
-                  [](int64_t x, int64_t y, int64_t* o, bool* null) {
-                    if (y == 0) {
-                      *null = true;
-                    } else {
-                      *o = x % y;
-                    }
-                  });
-            }});
-  Register({"negate",
-            {B},
-            B,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Bigint(-a[0].AsBigint());
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return UnaryKernel<int64_t, int64_t>(
-                  a, n, TK::kBigint,
-                  [](int64_t x, int64_t* o, bool*) { *o = -x; });
-            }});
-  Register({"negate",
-            {D},
-            D,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Double(-a[0].AsDouble());
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return UnaryKernel<double, double>(
-                  a, n, TK::kDouble,
-                  [](double x, double* o, bool*) { *o = -x; });
-            }});
+  arithmetic("plus", [](auto x, auto y) { return x + y; });
+  arithmetic("minus", [](auto x, auto y) { return x - y; });
+  arithmetic("multiply", [](auto x, auto y) { return x * y; });
+  // Division by zero yields NULL (documented deviation: Presto raises a
+  // query error). INT64_MIN / -1 does not fit in a BIGINT and fails.
+  arithmetic("divide", [](auto x, auto y) -> Maybe<decltype(x)> {
+    if (y == 0) return kNull;
+    if constexpr (std::is_integral_v<decltype(x)>) {
+      if (x == std::numeric_limits<int64_t>::min() && y == -1) {
+        return Fail{"bigint division overflow"};
+      }
+    }
+    return x / y;
+  });
+  // x % -1 is 0 for every x; the hardware instruction traps on INT64_MIN.
+  Register(Define<Bigint(Bigint, Bigint)>(
+      "modulus", [](int64_t x, int64_t y) -> Maybe<int64_t> {
+        if (y == 0) return kNull;
+        if (y == -1) return 0;
+        return x % y;
+      }));
+  auto negate = [](auto x) { return -x; };
+  Register(Define<Bigint(Bigint)>("negate", negate));
+  Register(Define<Double(Double)>("negate", negate));
 
   // ---- Comparisons (all orderable types) ----
-  struct CmpDef {
-    const char* name;
-    bool (*accept)(int);
+  auto comparison = [this](const char* name, auto accept) {
+    auto body = [accept](auto x, auto y) { return accept(Compare3(x, y)); };
+    Register(Define<Boolean(Bigint, Bigint)>(name, body));
+    Register(Define<Boolean(Double, Double)>(name, body));
+    Register(Define<Boolean(Varchar, Varchar)>(name, body));
+    Register(Define<Boolean(Boolean, Boolean)>(name, body));
+    Register(Define<Boolean(Date, Date)>(name, body));
   };
-  const CmpDef cmps[] = {
-      {"eq", [](int c) { return c == 0; }},
-      {"neq", [](int c) { return c != 0; }},
-      {"lt", [](int c) { return c < 0; }},
-      {"lte", [](int c) { return c <= 0; }},
-      {"gt", [](int c) { return c > 0; }},
-      {"gte", [](int c) { return c >= 0; }},
-  };
-  for (const auto& def : cmps) {
-    for (TK t : {B, D, V, BO, DT}) {
-      auto accept = def.accept;
-      Register({def.name,
-                {t, t},
-                BO,
-                true,
-                [accept](const std::vector<Value>& a) {
-                  return Value::Boolean(accept(CompareValues(a[0], a[1])));
-                },
-                [accept, t](const std::vector<BlockPtr>& a, int64_t n) {
-                  return CompareKernel(t, a, n, accept);
-                }});
-    }
-  }
+  comparison("eq", [](int c) { return c == 0; });
+  comparison("neq", [](int c) { return c != 0; });
+  comparison("lt", [](int c) { return c < 0; });
+  comparison("lte", [](int c) { return c <= 0; });
+  comparison("gt", [](int c) { return c > 0; });
+  comparison("gte", [](int c) { return c >= 0; });
 
   // ---- Logical NOT ----
-  Register({"not",
-            {BO},
-            BO,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Boolean(!a[0].AsBoolean());
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return UnaryKernel<uint8_t, uint8_t>(
-                  a, n, TK::kBoolean,
-                  [](uint8_t x, uint8_t* o, bool*) { *o = x ? 0 : 1; });
-            }});
+  Register(Define<Boolean(Boolean)>("not", [](bool x) { return !x; }));
 
   // ---- String functions ----
-  Register({"length",
-            {V},
-            B,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Bigint(
-                  static_cast<int64_t>(a[0].AsVarchar().size()));
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              DecodedBlock d;
-              d.Decode(a[0]);
-              std::vector<int64_t> values(static_cast<size_t>(n));
-              std::vector<uint8_t> nulls(static_cast<size_t>(n), 0);
-              bool any_null = false;
-              for (int64_t i = 0; i < n; ++i) {
-                if (d.IsNull(i)) {
-                  nulls[static_cast<size_t>(i)] = 1;
-                  any_null = true;
-                } else {
-                  values[static_cast<size_t>(i)] =
-                      static_cast<int64_t>(d.StringAt(i).size());
-                }
-              }
-              return MakeFlatResult<int64_t>(TK::kBigint, std::move(values),
-                                             std::move(nulls), any_null);
-            }});
-  auto string_map = [&](const std::string& nm,
-                        std::string (*f)(std::string_view)) {
-    Register({nm,
-              {V},
-              V,
-              true,
-              [f](const std::vector<Value>& a) {
-                return Value::Varchar(f(a[0].AsVarchar()));
-              },
-              [f](const std::vector<BlockPtr>& a, int64_t n) {
-                DecodedBlock d;
-                d.Decode(a[0]);
-                return VarcharResultKernel(
-                    n, [&d](int64_t i) { return d.IsNull(i); },
-                    [&d, f](int64_t i, std::string* out, bool*) {
-                      *out = f(d.StringAt(i));
-                    });
-              }});
-  };
-  string_map("lower", [](std::string_view s) { return ToLowerAscii(s); });
-  string_map("upper", [](std::string_view s) { return ToUpperAscii(s); });
-  string_map("trim", [](std::string_view s) {
+  Register(Define<Bigint(Varchar)>("length", [](std::string_view s) {
+    return static_cast<int64_t>(s.size());
+  }));
+  Register(Define<Varchar(Varchar)>(
+      "lower", [](std::string_view s) { return ToLowerAscii(s); }));
+  Register(Define<Varchar(Varchar)>(
+      "upper", [](std::string_view s) { return ToUpperAscii(s); }));
+  Register(Define<Varchar(Varchar)>("trim", [](std::string_view s) {
     size_t b = s.find_first_not_of(' ');
-    if (b == std::string_view::npos) return std::string();
+    if (b == std::string_view::npos) return std::string_view();
     size_t e = s.find_last_not_of(' ');
-    return std::string(s.substr(b, e - b + 1));
-  });
-  Register({"concat",
-            {V, V},
-            V,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Varchar(a[0].AsVarchar() + a[1].AsVarchar());
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              DecodedBlock x, y;
-              x.Decode(a[0]);
-              y.Decode(a[1]);
-              return VarcharResultKernel(
-                  n,
-                  [&](int64_t i) { return x.IsNull(i) || y.IsNull(i); },
-                  [&](int64_t i, std::string* out, bool*) {
-                    out->append(x.StringAt(i));
-                    out->append(y.StringAt(i));
-                  });
-            }});
-  // substr(s, start[, length]): 1-based start per SQL.
-  auto substr_impl = [](std::string_view s, int64_t start, int64_t len) {
+    return s.substr(b, e - b + 1);
+  }));
+  Register(Define<Varchar(Varchar, Varchar)>(
+      "concat", [](std::string_view x, std::string_view y) {
+        return std::string(x).append(y);
+      }));
+  // substr(s, start[, length]): 1-based start per SQL; a start below 1
+  // reads from the first character.
+  auto substr = [](std::string_view s, int64_t start, int64_t len) {
     if (start < 1) start = 1;
     auto b = static_cast<size_t>(start - 1);
-    if (b >= s.size() || len <= 0) return std::string();
-    return std::string(s.substr(b, static_cast<size_t>(len)));
+    if (b >= s.size() || len <= 0) return std::string_view();
+    return s.substr(b, static_cast<size_t>(len));
   };
-  Register({"substr",
-            {V, B},
-            V,
-            true,
-            [substr_impl](const std::vector<Value>& a) {
-              return Value::Varchar(substr_impl(
-                  a[0].AsVarchar(), a[1].AsBigint(),
-                  static_cast<int64_t>(a[0].AsVarchar().size())));
-            },
-            nullptr});
-  Register({"substr",
-            {V, B, B},
-            V,
-            true,
-            [substr_impl](const std::vector<Value>& a) {
-              return Value::Varchar(substr_impl(a[0].AsVarchar(),
-                                                a[1].AsBigint(),
-                                                a[2].AsBigint()));
-            },
-            nullptr});
-  Register({"strpos",
-            {V, V},
-            B,
-            true,
-            [](const std::vector<Value>& a) {
-              auto pos = a[0].AsVarchar().find(a[1].AsVarchar());
-              return Value::Bigint(
-                  pos == std::string::npos ? 0
-                                           : static_cast<int64_t>(pos) + 1);
-            },
-            nullptr});
-  Register({"replace",
-            {V, V, V},
-            V,
-            true,
-            [](const std::vector<Value>& a) {
-              std::string s = a[0].AsVarchar();
-              const std::string& from = a[1].AsVarchar();
-              const std::string& to = a[2].AsVarchar();
-              if (from.empty()) return Value::Varchar(s);
-              std::string out;
-              size_t pos = 0;
-              for (;;) {
-                size_t hit = s.find(from, pos);
-                if (hit == std::string::npos) {
-                  out += s.substr(pos);
-                  break;
-                }
-                out += s.substr(pos, hit - pos);
-                out += to;
-                pos = hit + from.size();
-              }
-              return Value::Varchar(out);
-            },
-            nullptr});
-  Register({"like",
-            {V, V},
-            BO,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Boolean(
-                  LikeMatch(a[0].AsVarchar(), a[1].AsVarchar()));
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return BinaryStringKernel<uint8_t>(
-                  a, n, TK::kBoolean,
-                  [](std::string_view v, std::string_view p, uint8_t* o,
-                     bool*) { *o = LikeMatch(v, p) ? 1 : 0; });
-            }});
+  Register(Define<Varchar(Varchar, Bigint)>(
+      "substr", [substr](std::string_view s, int64_t start) {
+        return substr(s, start, static_cast<int64_t>(s.size()));
+      }));
+  Register(Define<Varchar(Varchar, Bigint, Bigint)>("substr", substr));
+  Register(Define<Bigint(Varchar, Varchar)>(
+      "strpos", [](std::string_view s, std::string_view sub) {
+        size_t pos = s.find(sub);
+        return pos == std::string_view::npos ? int64_t{0}
+                                             : static_cast<int64_t>(pos) + 1;
+      }));
+  Register(Define<Varchar(Varchar, Varchar, Varchar)>(
+      "replace",
+      [](std::string_view s, std::string_view from, std::string_view to) {
+        if (from.empty()) return std::string(s);
+        std::string out;
+        size_t pos = 0;
+        for (size_t hit; (hit = s.find(from, pos)) != std::string_view::npos;
+             pos = hit + from.size()) {
+          out.append(s.substr(pos, hit - pos)).append(to);
+        }
+        return out.append(s.substr(pos));
+      }));
+  Register(Define<Boolean(Varchar, Varchar)>(
+      "like",
+      [](std::string_view v, std::string_view p) { return LikeMatch(v, p); }));
 
   // ---- Math ----
-  Register({"abs",
-            {B},
-            B,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Bigint(std::llabs(a[0].AsBigint()));
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return UnaryKernel<int64_t, int64_t>(
-                  a, n, TK::kBigint,
-                  [](int64_t x, int64_t* o, bool*) { *o = x < 0 ? -x : x; });
-            }});
-  Register({"abs",
-            {D},
-            D,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Double(std::fabs(a[0].AsDouble()));
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return UnaryKernel<double, double>(
-                  a, n, TK::kDouble,
-                  [](double x, double* o, bool*) { *o = std::fabs(x); });
-            }});
-  auto dmath = [&](const std::string& nm, double (*f)(double)) {
-    Register({nm,
-              {D},
-              D,
-              true,
-              [f](const std::vector<Value>& a) {
-                return Value::Double(f(a[0].AsDouble()));
-              },
-              [f](const std::vector<BlockPtr>& a, int64_t n) {
-                return UnaryKernel<double, double>(
-                    a, n, TK::kDouble,
-                    [f](double x, double* o, bool*) { *o = f(x); });
-              }});
+  Register(Define<Bigint(Bigint)>(
+      "abs", [](int64_t x) { return x < 0 ? -x : x; }));
+  Register(Define<Double(Double)>("abs", [](double x) { return std::fabs(x); }));
+  Register(Define<Double(Double)>(
+      "round", [](double x) { return std::round(x); }));
+  Register(Define<Double(Double)>(
+      "floor", [](double x) { return std::floor(x); }));
+  Register(Define<Double(Double)>("ceil", [](double x) { return std::ceil(x); }));
+  Register(Define<Double(Double)>("sqrt", [](double x) { return std::sqrt(x); }));
+  Register(Define<Double(Double)>("ln", [](double x) { return std::log(x); }));
+  Register(Define<Double(Double)>("exp", [](double x) { return std::exp(x); }));
+  Register(Define<Double(Double, Double)>(
+      "power", [](double x, double y) { return std::pow(x, y); }));
+  // Ties return the first argument.
+  auto extrema = [this](auto tag) {
+    using T = decltype(tag);
+    Register(Define<T(T, T)>("greatest", [](auto x, auto y) {
+      return SortOrder(x, y) >= 0 ? x : y;
+    }));
+    Register(Define<T(T, T)>("least", [](auto x, auto y) {
+      return SortOrder(x, y) <= 0 ? x : y;
+    }));
   };
-  dmath("round", [](double x) { return std::round(x); });
-  dmath("floor", [](double x) { return std::floor(x); });
-  dmath("ceil", [](double x) { return std::ceil(x); });
-  dmath("sqrt", [](double x) { return std::sqrt(x); });
-  dmath("ln", [](double x) { return std::log(x); });
-  dmath("exp", [](double x) { return std::exp(x); });
-  Register({"power",
-            {D, D},
-            D,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Double(std::pow(a[0].AsDouble(), a[1].AsDouble()));
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return BinaryKernel<double, double>(
-                  a, n, TK::kDouble, [](double x, double y, double* o, bool*) {
-                    *o = std::pow(x, y);
-                  });
-            }});
-  for (TK t : {B, D, V, DT}) {
-    Register({"greatest",
-              {t, t},
-              t,
-              true,
-              [](const std::vector<Value>& a) {
-                return a[0].Compare(a[1]) >= 0 ? a[0] : a[1];
-              },
-              nullptr});
-    Register({"least",
-              {t, t},
-              t,
-              true,
-              [](const std::vector<Value>& a) {
-                return a[0].Compare(a[1]) <= 0 ? a[0] : a[1];
-              },
-              nullptr});
-  }
+  extrema(Bigint{});
+  extrema(Double{});
+  extrema(Varchar{});
+  extrema(Date{});
 
   // ---- Date functions ----
-  auto date_part = [&](const std::string& nm, int part) {
-    Register({nm,
-              {DT},
-              B,
-              true,
-              [part](const std::vector<Value>& a) {
-                std::string s = FormatDate(a[0].AsDate());
-                // s == YYYY-MM-DD
-                int64_t v = 0;
-                if (part == 0) {
-                  v = std::atoll(s.substr(0, 4).c_str());
-                } else if (part == 1) {
-                  v = std::atoll(s.substr(5, 2).c_str());
-                } else {
-                  v = std::atoll(s.substr(8, 2).c_str());
-                }
-                return Value::Bigint(v);
-              },
-              nullptr});
-  };
-  date_part("year", 0);
-  date_part("month", 1);
-  date_part("day", 2);
-  Register({"date_add",
-            {DT, B},
-            DT,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Date(a[0].AsDate() + a[1].AsBigint());
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return BinaryKernel<int64_t, int64_t>(
-                  a, n, TK::kDate,
-                  [](int64_t x, int64_t y, int64_t* o, bool*) { *o = x + y; });
-            }});
-  Register({"date_diff",
-            {DT, DT},
-            B,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Bigint(a[1].AsDate() - a[0].AsDate());
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return BinaryKernel<int64_t, int64_t>(
-                  a, n, TK::kBigint,
-                  [](int64_t x, int64_t y, int64_t* o, bool*) { *o = y - x; });
-            }});
+  Register(Define<Bigint(Date)>(
+      "year", [](int64_t d) { return DateField(d, 0, 4); }));
+  Register(Define<Bigint(Date)>(
+      "month", [](int64_t d) { return DateField(d, 5, 2); }));
+  Register(Define<Bigint(Date)>(
+      "day", [](int64_t d) { return DateField(d, 8, 2); }));
+  Register(Define<Date(Date, Bigint)>(
+      "date_add", [](int64_t d, int64_t n) { return d + n; }));
+  Register(Define<Bigint(Date, Date)>(
+      "date_diff", [](int64_t from, int64_t to) { return to - from; }));
 
   // ---- Misc ----
-  Register({"hash64",
-            {B},
-            B,
-            true,
-            [](const std::vector<Value>& a) {
-              return Value::Bigint(static_cast<int64_t>(
-                  HashInt64(static_cast<uint64_t>(a[0].AsBigint()))));
-            },
-            [](const std::vector<BlockPtr>& a, int64_t n) {
-              return UnaryKernel<int64_t, int64_t>(
-                  a, n, TK::kBigint, [](int64_t x, int64_t* o, bool*) {
-                    *o = static_cast<int64_t>(
-                        HashInt64(static_cast<uint64_t>(x)));
-                  });
-            }});
+  Register(Define<Bigint(Bigint)>("hash64", [](int64_t x) {
+    return static_cast<int64_t>(HashInt64(static_cast<uint64_t>(x)));
+  }));
 }
 
 }  // namespace presto

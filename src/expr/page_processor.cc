@@ -64,22 +64,29 @@ Result<BlockPtr> PageProcessor::EvalWithFastPaths(const ExprPtr& expr,
             ExprPtr remapped = RemapColumns(expr, mapping);
             Page dict_page({dictionary});
             ExprEvaluator eval(remapped, mode_);
-            PRESTO_ASSIGN_OR_RETURN(evaluated, eval.Eval(dict_page));
-            cache.dictionary = dictionary.get();
-            cache.result = evaluated;
-            dict_entries_processed_ += dict_size;
-            ++stats_.dict_path_hits;
+            Result<BlockPtr> result = eval.Eval(dict_page);
+            // A failing entry may be one no row references: on error, fall
+            // through and evaluate the rows themselves.
+            if (result.ok()) {
+              evaluated = std::move(*result);
+              cache.dictionary = dictionary.get();
+              cache.result = evaluated;
+              dict_entries_processed_ += dict_size;
+              ++stats_.dict_path_hits;
+            }
           }
-          dict_rows_produced_ += rows;
-          if (evaluated->encoding() == BlockEncoding::kFlat ||
-              evaluated->encoding() == BlockEncoding::kVarchar) {
+          if (evaluated != nullptr) {
+            dict_rows_produced_ += rows;
+            if (evaluated->encoding() == BlockEncoding::kFlat ||
+                evaluated->encoding() == BlockEncoding::kVarchar) {
+              return BlockPtr(std::make_shared<DictionaryBlock>(
+                  evaluated, dict_block->indices()));
+            }
+            // The kernel returned an encoded block (e.g. RLE); flatten so
+            // the dictionary wrap stays canonical.
             return BlockPtr(std::make_shared<DictionaryBlock>(
-                evaluated, dict_block->indices()));
+                evaluated->Flatten(), dict_block->indices()));
           }
-          // The kernel returned an encoded block (e.g. RLE); flatten so the
-          // dictionary wrap stays canonical.
-          return BlockPtr(std::make_shared<DictionaryBlock>(
-              evaluated->Flatten(), dict_block->indices()));
         }
       } else if (enc->encoding() == BlockEncoding::kRle) {
         // Evaluate once over the run value and rewrap.

@@ -259,5 +259,43 @@ TEST_F(EngineTest, EarlyLimitCancelsUpstream) {
   EXPECT_EQ(rows->size(), 5u);
 }
 
+// INT64_MIN / -1 and INT64_MIN % -1 used to kill the process with SIGFPE:
+// in execution, and for a constant in planning, where constant folding
+// calls the row form. Now `/` fails the query and `%` returns 0.
+TEST(EngineArithmeticTest, BigintDivisionOverflowIsAQueryError) {
+  for (EvalMode mode : {EvalMode::kCompiled, EvalMode::kInterpreted}) {
+    SCOPED_TRACE(mode == EvalMode::kCompiled ? "compiled" : "interpreted");
+    EngineOptions options;
+    options.cluster.num_workers = 2;
+    options.cluster.executor.threads = 2;
+    options.cluster.eval_mode = mode;
+    PrestoEngine engine(options);
+    auto mem = std::make_shared<MemoryConnector>("memory");
+    RowSchema schema;
+    schema.Add("y", TypeKind::kBigint);
+    ASSERT_TRUE(
+        mem->CreateTable("t", schema, {Page({MakeBigintBlock({1, 2, 3, 4})})})
+            .ok());
+    engine.catalog().Register(mem);
+
+    for (const char* sql :
+         {"SELECT min((0 - 9223372036854775807 - 1) / (y - y - 1)) FROM t "
+          "WHERE y = 3",
+          "SELECT (0 - 9223372036854775807 - 1) / -1"}) {
+      auto rows = engine.ExecuteAndFetch(sql);
+      ASSERT_FALSE(rows.ok()) << sql;
+      EXPECT_NE(rows.status().message().find("bigint division overflow"),
+                std::string::npos)
+          << rows.status().ToString();
+    }
+    auto rows = engine.ExecuteAndFetch(
+        "SELECT min((0 - 9223372036854775807 - 1) % (y - y - 1)) FROM t "
+        "WHERE y = 3");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ((*rows)[0][0], Value::Bigint(0));
+  }
+}
+
 }  // namespace
 }  // namespace presto

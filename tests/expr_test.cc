@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "expr/aggregates.h"
@@ -236,6 +237,277 @@ TEST_P(EvaluatorEquivalenceTest, InterpretedMatchesCompiled) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorEquivalenceTest,
                          ::testing::Range(0, 8));
 
+// Same type, same nullness, same value; DOUBLEs match bit for bit up to
+// the NaN payload, so -0.0 and 0.0 differ.
+::testing::AssertionResult SameValue(const Value& a, const Value& b) {
+  bool same = a.type() == b.type() && a.is_null() == b.is_null();
+  if (same && !a.is_null()) {
+    if (a.type() == TypeKind::kDouble) {
+      double x = a.AsDouble();
+      double y = b.AsDouble();
+      same = std::isnan(x) ? std::isnan(y)
+                           : x == y && std::signbit(x) == std::signbit(y);
+    } else {
+      same = a == b;
+    }
+  }
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << a.ToString() << " (" << TypeToString(a.type()) << ") vs "
+         << b.ToString() << " (" << TypeToString(b.type()) << ")";
+}
+
+// Evaluates fn(args) in both modes, once over literal arguments (the
+// all-constant path) and once over one-row flat columns.
+std::vector<Value> EvalBothWays(const std::string& name,
+                                const std::vector<Value>& args) {
+  std::vector<TypeKind> types;
+  std::vector<ExprPtr> literals;
+  std::vector<ExprPtr> columns;
+  std::vector<BlockPtr> blocks;
+  for (size_t i = 0; i < args.size(); ++i) {
+    types.push_back(args[i].type());
+    literals.push_back(Lit(args[i]));
+    columns.push_back(Col(static_cast<int>(i), args[i].type()));
+    BlockBuilder builder(args[i].type());
+    builder.AppendValue(args[i]);
+    blocks.push_back(builder.Build());
+  }
+  const ScalarFunction* fn = Fn(name, types);
+  Page page(std::move(blocks), 1);
+  std::vector<Value> out;
+  for (const auto& expr : {Expr::MakeCall(fn, literals),
+                           Expr::MakeCall(fn, columns)}) {
+    for (EvalMode mode : {EvalMode::kInterpreted, EvalMode::kCompiled}) {
+      auto r = ExprEvaluator(expr, mode).Eval(page);
+      EXPECT_TRUE(r.ok()) << expr->ToString() << ": " << r.status().ToString();
+      if (r.ok()) out.push_back((*r)->GetValue(0));
+    }
+  }
+  return out;
+}
+
+Value DateOf(const std::string& text) {
+  int64_t days = 0;
+  EXPECT_TRUE(ParseDate(text, &days)) << text;
+  return Value::Date(days);
+}
+
+// Edge-case results pinned from the boxed row functions and typed kernels
+// that each overload's single body replaced.
+TEST(ScalarEdgeCaseTest, PinnedResults) {
+  const double kNaN = std::nan("");
+  const double kInf = std::numeric_limits<double>::infinity();
+  auto D = [](double d) { return Value::Double(d); };
+  auto B = [](int64_t v) { return Value::Bigint(v); };
+  auto V = [](const char* s) { return Value::Varchar(s); };
+  auto T = [](bool b) { return Value::Boolean(b); };
+  struct Case {
+    std::string name;
+    std::vector<Value> args;
+    Value expected;
+  };
+  const std::vector<Case> cases = {
+      // DOUBLE comparisons map IEEE `<` and `>` to a three-way result, so a
+      // NaN operand compares as equal to anything.
+      {"eq", {D(kNaN), D(0.0)}, T(true)},
+      {"eq", {D(kNaN), D(kNaN)}, T(true)},
+      {"neq", {D(kNaN), D(1.0)}, T(false)},
+      {"lt", {D(kNaN), D(1.0)}, T(false)},
+      {"lte", {D(kNaN), D(1.0)}, T(true)},
+      {"gt", {D(kNaN), D(-kInf)}, T(false)},
+      {"gte", {D(kInf), D(kNaN)}, T(true)},
+      {"eq", {D(-0.0), D(0.0)}, T(true)},
+      {"lt", {D(-0.0), D(0.0)}, T(false)},
+      {"lt", {D(-kInf), D(kInf)}, T(true)},
+      {"gt", {D(kInf), D(1e308)}, T(true)},
+      {"eq", {D(kInf), D(kInf)}, T(true)},
+      // greatest/least keep Value::Compare's order: NaN above +Infinity,
+      // -0.0 equal to 0.0, ties return the first argument.
+      {"greatest", {D(kNaN), D(0.0)}, D(kNaN)},
+      {"least", {D(kNaN), D(0.0)}, D(0.0)},
+      {"greatest", {D(0.0), D(kNaN)}, D(kNaN)},
+      {"greatest", {D(kInf), D(kNaN)}, D(kNaN)},
+      {"least", {D(-kInf), D(kNaN)}, D(-kInf)},
+      {"least", {D(kInf), D(kNaN)}, D(kInf)},
+      {"greatest", {D(-0.0), D(0.0)}, D(-0.0)},
+      {"least", {D(0.0), D(-0.0)}, D(0.0)},
+      {"greatest", {B(3), B(-7)}, B(3)},
+      {"least", {V("b"), V("ab")}, V("ab")},
+      {"greatest", {DateOf("1969-12-31"), DateOf("1970-01-01")},
+       DateOf("1970-01-01")},
+      // substr: 1-based start; a start below 1 reads from the first
+      // character; past the end or a length <= 0 gives ''.
+      {"substr", {V("hello"), B(0)}, V("hello")},
+      {"substr", {V("hello"), B(-3)}, V("hello")},
+      {"substr", {V("hello"), B(5)}, V("o")},
+      {"substr", {V("hello"), B(6)}, V("")},
+      {"substr", {V(""), B(1)}, V("")},
+      {"substr", {V("hello"), B(0), B(2)}, V("he")},
+      {"substr", {V("hello"), B(4), B(100)}, V("lo")},
+      {"substr", {V("hello"), B(2), B(0)}, V("")},
+      {"substr", {V("hello"), B(2), B(-1)}, V("")},
+      {"substr", {V("hello"), B(9), B(2)}, V("")},
+      // strpos: 1-based, 0 when absent.
+      {"strpos", {V("hello"), V("z")}, B(0)},
+      {"strpos", {V("hello"), V("l")}, B(3)},
+      {"strpos", {V("hello"), V("")}, B(1)},
+      {"strpos", {V(""), V("a")}, B(0)},
+      // replace with an empty pattern returns the input.
+      {"replace", {V("abc"), V(""), V("x")}, V("abc")},
+      {"replace", {V("aaa"), V("a"), V("bb")}, V("bbbbbb")},
+      {"replace", {V("abab"), V("ab"), V("")}, V("")},
+      // Date parts before 1970.
+      {"year", {DateOf("1969-12-31")}, B(1969)},
+      {"month", {DateOf("1969-12-31")}, B(12)},
+      {"day", {DateOf("1969-12-31")}, B(31)},
+      {"year", {DateOf("1900-02-28")}, B(1900)},
+      {"month", {DateOf("1900-02-28")}, B(2)},
+      {"day", {DateOf("1900-03-01")}, B(1)},
+      {"year", {DateOf("0001-01-01")}, B(1)},
+      {"length", {V("")}, B(0)},
+      // Division and modulus by zero yield NULL (documented deviation).
+      {"divide", {B(1), B(0)}, Value::Null(TypeKind::kBigint)},
+      {"divide", {D(1.0), D(-0.0)}, Value::Null(TypeKind::kDouble)},
+      {"modulus", {B(7), B(0)}, Value::Null(TypeKind::kBigint)},
+      {"modulus", {B(-7), B(3)}, B(-1)},
+      {"divide", {B(-7), B(2)}, B(-3)},
+  };
+  for (const auto& c : cases) {
+    std::string call = c.name + "(";
+    for (size_t i = 0; i < c.args.size(); ++i) {
+      call += (i > 0 ? ", " : "") + c.args[i].ToString();
+    }
+    SCOPED_TRACE(call + ")");
+    std::vector<Value> results = EvalBothWays(c.name, c.args);
+    ASSERT_EQ(results.size(), 4u);
+    for (const Value& r : results) EXPECT_TRUE(SameValue(r, c.expected));
+  }
+}
+
+// INT64_MIN / -1 and INT64_MIN % -1 used to trap (SIGFPE) in both modes,
+// and in constant folding, which calls the row form.
+TEST(ScalarEdgeCaseTest, BigintDivisionOverflow) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  Page page({MakeBigintBlock({kMin, 6}), MakeBigintBlock({-1, -1})});
+  auto a = Col(0, TypeKind::kBigint);
+  auto b = Col(1, TypeKind::kBigint);
+  auto min = Lit(Value::Bigint(kMin));
+  auto minus_one = Lit(Value::Bigint(-1));
+  for (EvalMode mode : {EvalMode::kInterpreted, EvalMode::kCompiled}) {
+    for (const auto& e : {Call("divide", {a, b}), Call("divide", {min, b}),
+                          Call("divide", {min, minus_one})}) {
+      auto r = ExprEvaluator(e, mode).Eval(page);
+      ASSERT_FALSE(r.ok()) << e->ToString();
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(r.status().message(), "bigint division overflow");
+    }
+    for (const auto& e :
+         {Call("modulus", {a, b}), Call("modulus", {min, minus_one})}) {
+      auto r = ExprEvaluator(e, mode).Eval(page);
+      ASSERT_TRUE(r.ok()) << e->ToString() << ": " << r.status().ToString();
+      EXPECT_EQ((*r)->GetValue(0), Value::Bigint(0));
+      EXPECT_EQ((*r)->GetValue(1), Value::Bigint(0));
+    }
+  }
+  EXPECT_FALSE(EvalConstantExpr(*Call("divide", {min, minus_one})).ok());
+  EXPECT_EQ(*EvalConstantExpr(*Call("modulus", {min, minus_one})),
+            Value::Bigint(0));
+}
+
+Value RandomScalar(Random* rng, TypeKind type) {
+  switch (type) {
+    case TypeKind::kBigint:
+      // Small values make division and modulus by 0 and -1 common; the
+      // rest stay within +-2^31 so no body overflows.
+      return Value::Bigint(rng->NextBool(0.3)
+                               ? rng->NextInt64(-2, 2)
+                               : rng->NextInt64(-(int64_t{1} << 31),
+                                                int64_t{1} << 31));
+    case TypeKind::kDate:
+      return Value::Date(rng->NextInt64(-40000, 40000));
+    case TypeKind::kDouble: {
+      const double kSpecial[] = {std::nan(""), 0.0, -0.0,
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+      if (rng->NextBool(0.25)) return Value::Double(kSpecial[rng->NextUint64(5)]);
+      return Value::Double(rng->NextDouble() * 20 - 10);
+    }
+    case TypeKind::kBoolean:
+      return Value::Boolean(rng->NextBool(0.5));
+    case TypeKind::kVarchar: {
+      // Few distinct characters, so LIKE, strpos and replace find matches.
+      std::string s(rng->NextUint64(6), ' ');
+      for (char& c : s) c = " ab%_"[rng->NextUint64(5)];
+      return Value::Varchar(s);
+    }
+    default:
+      ADD_FAILURE() << "no generator for " << TypeToString(type);
+      return Value::Null(type);
+  }
+}
+
+// A random block of `type`: flat, dictionary or RLE (`encoding` 0, 1, 2),
+// with no, some or all NULLs (`nulls` 0, 1, 2).
+BlockPtr RandomBlock(Random* rng, TypeKind type, int64_t rows, int encoding,
+                     int nulls) {
+  auto next = [&] {
+    bool null = nulls == 2 || (nulls == 1 && rng->NextBool(0.3));
+    return null ? Value::Null(type) : RandomScalar(rng, type);
+  };
+  if (encoding == 2) return MakeConstantBlock(next(), rows);
+  BlockBuilder builder(type);
+  const int64_t distinct = encoding == 1 ? 5 : rows;
+  for (int64_t i = 0; i < distinct; ++i) builder.AppendValue(next());
+  if (encoding == 0) return builder.Build();
+  std::vector<int32_t> indices(static_cast<size_t>(rows));
+  for (auto& i : indices) i = static_cast<int32_t>(rng->NextUint64(5));
+  return std::make_shared<DictionaryBlock>(builder.Build(), indices);
+}
+
+// Every registered overload: the row form (interpreter) and the column form
+// (compiled) agree on every row, for every argument encoding and NULL mix.
+TEST(FunctionRegistryTest, EveryOverloadRowAndColumnFormsAgree) {
+  const auto& overloads = FunctionRegistry::Instance().overloads();
+  ASSERT_FALSE(overloads.empty());
+  constexpr int64_t kRows = 64;
+  Random rng(20190408);
+  for (const ScalarFunction& fn : overloads) {
+    std::vector<ExprPtr> columns;
+    for (size_t i = 0; i < fn.arg_types.size(); ++i) {
+      columns.push_back(Col(static_cast<int>(i), fn.arg_types[i]));
+    }
+    ExprPtr expr = Expr::MakeCall(&fn, columns);
+    // Encodings 0-2 give every argument the same encoding; 3 mixes them.
+    for (int encoding = 0; encoding < 4; ++encoding) {
+      for (int nulls = 0; nulls < 3; ++nulls) {
+        std::vector<BlockPtr> blocks;
+        for (size_t i = 0; i < fn.arg_types.size(); ++i) {
+          int e = encoding < 3 ? encoding : static_cast<int>(i % 3);
+          blocks.push_back(
+              RandomBlock(&rng, fn.arg_types[i], kRows, e, nulls));
+        }
+        Page page(std::move(blocks), kRows);
+        SCOPED_TRACE(expr->ToString() + " encoding " +
+                     std::to_string(encoding) + " nulls " +
+                     std::to_string(nulls));
+        auto ri = ExprEvaluator(expr, EvalMode::kInterpreted).Eval(page);
+        auto rc = ExprEvaluator(expr, EvalMode::kCompiled).Eval(page);
+        ASSERT_TRUE(ri.ok()) << ri.status().ToString();
+        ASSERT_TRUE(rc.ok()) << rc.status().ToString();
+        ASSERT_EQ((*rc)->type(), fn.return_type);
+        for (int64_t row = 0; row < kRows; ++row) {
+          Value vi = (*ri)->GetValue(row);
+          ASSERT_TRUE(SameValue(vi, (*rc)->GetValue(row))) << "row " << row;
+          if (nulls == 2) {
+            EXPECT_TRUE(vi.is_null()) << "row " << row;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(VectorEvalTest, ConstantsFoldToRle) {
   Page page({MakeBigintBlock(std::vector<int64_t>(100, 1))});
   auto e = Call("plus", {Lit(Value::Bigint(2)), Lit(Value::Bigint(3))});
@@ -325,6 +597,30 @@ TEST(PageProcessorTest, SpeculationStopsWhenDictionaryTooLarge) {
   }
   EXPECT_EQ(proc.stats().dict_path_hits, 1);
   EXPECT_EQ(proc.stats().flat_evals, 1);
+}
+
+// The dictionary fast path evaluates every dictionary entry, also those no
+// row references. An entry that fails must not fail the page; one a row
+// references must.
+TEST(PageProcessorTest, DictionaryEntryErrorsCountOnlyWhenReferenced) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto dict = MakeBigintBlock({kMin, 6, 10});
+  auto proj = Call("divide", {Col(0, TypeKind::kBigint),
+                              Lit(Value::Bigint(-1))});
+  for (EvalMode mode : {EvalMode::kCompiled, EvalMode::kInterpreted}) {
+    PageProcessor proc(nullptr, {proj}, mode);
+    Page unreferenced(
+        {std::make_shared<DictionaryBlock>(dict, std::vector<int32_t>{1, 2, 1})});
+    auto r = proc.Process(unreferenced);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->block(0)->GetValue(0), Value::Bigint(-6));
+    EXPECT_EQ(r->block(0)->GetValue(1), Value::Bigint(-10));
+    Page referenced(
+        {std::make_shared<DictionaryBlock>(dict, std::vector<int32_t>{1, 0})});
+    auto failed = proc.Process(referenced);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().message(), "bigint division overflow");
+  }
 }
 
 TEST(PageProcessorTest, RlePathEvaluatesOnce) {

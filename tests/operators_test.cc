@@ -2,6 +2,7 @@
 
 #include "exec/driver.h"
 #include "exec/operators.h"
+#include "expr/function_registry.h"
 
 namespace presto {
 namespace {
