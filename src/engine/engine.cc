@@ -277,6 +277,21 @@ void PrestoEngine::RegisterEngineGauges() {
         },
         {{"level", std::to_string(level)}});
   }
+  for (bool deadline : {false, true}) {
+    metrics_->RegisterGauge(
+        "presto_executor_wakeups_total",
+        "Parked drivers re-armed, by cause (the awaited event or a deadline)",
+        [this, deadline] {
+          int64_t total = 0;
+          for (int i = 0; i < cluster_->local_workers(); ++i) {
+            TaskExecutor& executor = cluster_->worker(i).executor();
+            total += deadline ? executor.deadline_wakeups()
+                              : executor.signal_wakeups();
+          }
+          return static_cast<double>(total);
+        },
+        {{"cause", deadline ? "deadline" : "signal"}});
+  }
   // ISSUE 8: planning-path cache layers. Gauges read the caches' internal
   // monotonic counters, so /v1/metrics always reports live totals.
   MetadataManager* mm = metadata_manager_.get();

@@ -2,6 +2,7 @@
 #define PRESTOCPP_EXCHANGE_EXCHANGE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/wakeup.h"
 #include "vector/page_codec.h"
 
 namespace presto {
@@ -22,7 +24,8 @@ class TraceRegistry;
 /// How serialized frames move between tasks (§IV-E2).
 enum class TransportMode : uint8_t {
   /// Consumers poll producer buffers directly through the shared
-  /// ExchangeManager map, with SimulateTransfer standing in for the network.
+  /// ExchangeManager map; each frame carries a simulated arrival time that
+  /// stands in for the network.
   kInProcess = 0,
   /// Consumers pull over real localhost HTTP/1.1 sockets: long-poll GET
   /// /v1/task/{taskId}/results/{bufferId}/{token} with ack-based frame
@@ -31,14 +34,17 @@ enum class TransportMode : uint8_t {
 };
 
 /// Network characteristics of the shuffle fabric. latency/bytes_per_second
-/// drive the simulated cost model of the in-process transport; the http_*
-/// knobs tune the real socket transport.
+/// drive the simulated cost model of the in-process transport (a frame
+/// arrives latency + wire_bytes/bytes_per_second after it is sent, with
+/// the bandwidth shared by the frames of one buffer; 0 turns either term
+/// off); the http_* knobs tune the real socket transport.
 struct NetworkConfig {
   int64_t latency_micros = 50;
   int64_t bytes_per_second = 4LL << 30;  // 4 GB/s
   TransportMode transport = TransportMode::kInProcess;
-  /// Server-side long-poll wait when a buffer has no data yet. Kept shorter
-  /// than the executor's max park backoff so blocked drivers stay lively.
+  /// Server-side long-poll wait when a buffer has no data yet. The consumer
+  /// holds its executor thread for the wait, so it is kept short; a driver
+  /// whose poll came back empty re-polls after a fixed re-arm delay.
   int64_t http_long_poll_micros = 10'000;
   /// Maximum frame bytes returned by one GET (at least one frame always).
   int64_t http_response_max_bytes = 1 << 20;
@@ -63,36 +69,55 @@ struct NetworkConfig {
 /// frees — everything below `token` and returns the frames at and after it,
 /// so a lost response is recovered by re-requesting the same un-acked token.
 /// Poll() is the in-process shortcut: fetch + immediate ack of one frame.
+///
+/// Blocked drivers wait on a buffer through Wakeup handles: a consumer is
+/// woken by the next enqueue or NoMorePages, a producer (on a full buffer,
+/// or parked by the executor for backpressure) by the next ack.
 class ExchangeBuffer {
  public:
+  using Clock = std::chrono::steady_clock;
+
   /// `wire_total`/`raw_total`, when set, receive every enqueued frame's
   /// wire/pre-compression bytes (the manager's cumulative serde counters,
   /// which must survive buffer teardown at query end). `generation` stamps
   /// the producer incarnation (ISSUE 7); with `retain_for_replay` set,
   /// acked frames are kept (capacity still freed) so a replacement consumer
   /// can re-fetch the stream from token 0 after a task retry.
+  /// `wire_latency_micros`/`wire_bytes_per_second` set the simulated link
+  /// Poll() delivers over (see NetworkConfig); zero means no delay.
   explicit ExchangeBuffer(int64_t capacity_bytes,
                           std::atomic<int64_t>* wire_total = nullptr,
                           std::atomic<int64_t>* raw_total = nullptr,
-                          int generation = 0, bool retain_for_replay = false)
+                          int generation = 0, bool retain_for_replay = false,
+                          int64_t wire_latency_micros = 0,
+                          int64_t wire_bytes_per_second = 0)
       : capacity_bytes_(capacity_bytes),
         generation_(generation),
         retain_(retain_for_replay),
+        wire_latency_micros_(wire_latency_micros),
+        wire_bytes_per_second_(wire_bytes_per_second),
         wire_total_(wire_total),
         raw_total_(raw_total) {}
 
   /// Producer side: returns false when the buffer is full (§IV-E2 "full
-  /// output buffers cause split execution to stall"). Copies the frame only
-  /// when it is admitted, so a rejected enqueue is cheap to retry. Unacked
-  /// (in-flight) frames still occupy capacity until the consumer's next
-  /// token retires them.
-  bool TryEnqueue(const PageCodec::Frame& frame);
+  /// output buffers cause split execution to stall"); `waiter` is then
+  /// fired by the next ack. Copies the frame only when it is admitted, so
+  /// a rejected enqueue is cheap to retry. Unacked (in-flight) frames still
+  /// occupy capacity until the consumer's next token retires them.
+  bool TryEnqueue(const PageCodec::Frame& frame,
+                  const WakeupPtr& waiter = nullptr);
   void NoMorePages();
 
-  /// Consumer side (in-process transport): nullopt when empty; *finished
-  /// set when the stream ended and everything was consumed. Equivalent to
-  /// GetBatch of one frame with an immediate ack.
-  std::optional<PageCodec::Frame> Poll(bool* finished);
+  /// Consumer side (in-process transport): nullopt when no frame has
+  /// arrived; *finished set when the stream ended and everything was
+  /// consumed. Equivalent to GetBatch of one frame with an immediate ack.
+  /// Frames arrive over the simulated link: when the next frame is still
+  /// on the wire, *arrives_at (if given) receives its arrival time;
+  /// when the buffer is empty and open, `waiter` is fired by the next
+  /// enqueue or NoMorePages. Never sleeps.
+  std::optional<PageCodec::Frame> Poll(bool* finished,
+                                       const WakeupPtr& waiter = nullptr,
+                                       Clock::time_point* arrives_at = nullptr);
 
   /// One long-poll response worth of frames.
   struct FrameBatch {
@@ -113,6 +138,9 @@ class ExchangeBuffer {
 
   /// Fraction of capacity in use (drives concurrency reduction, §IV-E2).
   double utilization() const;
+  /// True if utilization() exceeds `threshold`; `waiter` is then fired by
+  /// the next ack.
+  bool UtilizationAbove(double threshold, const WakeupPtr& waiter);
   bool finished() const;
   int64_t buffered_bytes() const;
   /// Bytes handed to a consumer via GetBatch but not yet acked.
@@ -125,9 +153,16 @@ class ExchangeBuffer {
   int64_t total_rows_sent() const { return total_rows_.load(); }
 
  private:
+  /// A frame plus the time it reaches the consumer over the simulated link
+  /// (the epoch when there is no link).
+  struct Queued {
+    PageCodec::Frame frame;
+    Clock::time_point arrival;
+  };
+  double UtilizationLocked() const;
   mutable std::mutex mu_;
   std::condition_variable cv_;  // notified on enqueue / NoMorePages
-  std::deque<PageCodec::Frame> frames_;
+  std::deque<Queued> frames_;
   int64_t base_token_ = 0;   // sequence token of frames_.front()
   int64_t acked_token_ = 0;  // lowest un-acked token (== base_ w/o retain)
   int64_t sent_token_ = 0;   // highest next_token ever returned by GetBatch
@@ -137,6 +172,11 @@ class ExchangeBuffer {
   int generation_ = 0;
   bool retain_ = false;
   bool no_more_ = false;
+  int64_t wire_latency_micros_;
+  int64_t wire_bytes_per_second_;
+  Clock::time_point wire_free_{};  // when the simulated link is next idle
+  WaitList data_waiters_;   // consumers: enqueue / NoMorePages
+  WaitList space_waiters_;  // producers: ack
   std::atomic<int64_t> total_bytes_{0};
   std::atomic<int64_t> total_raw_bytes_{0};
   std::atomic<int64_t> total_rows_{0};
@@ -192,12 +232,19 @@ class ExchangeManager {
   /// Drops every partition buffer of one task (recovery supersede).
   void RemoveTaskBuffers(const std::string& query_id, int fragment, int task);
 
-  /// Buffer for a stream; nullptr if not (yet) created.
-  std::shared_ptr<ExchangeBuffer> GetBuffer(const StreamId& id) const;
+  /// Buffer for a stream; nullptr if not (yet) created, in which case
+  /// `waiter` is fired by the next CreateOutputBuffers.
+  std::shared_ptr<ExchangeBuffer> GetBuffer(
+      const StreamId& id, const WakeupPtr& waiter = nullptr);
 
   /// Maximum output-buffer utilization across partitions of one task.
   double OutputUtilization(const std::string& query_id, int fragment,
                            int task) const;
+  /// True if any output buffer of the task is fuller than `threshold`
+  /// (§IV-E2 backpressure); `waiter` is then fired by the next ack on one
+  /// of those buffers.
+  bool OutputAbove(const std::string& query_id, int fragment, int task,
+                   double threshold, const WakeupPtr& waiter) const;
 
   /// Drops all buffers (and task endpoints) of a query (cleanup / kill).
   void RemoveQuery(const std::string& query_id);
@@ -219,12 +266,7 @@ class ExchangeManager {
   TaskEndpoint LookupTaskEndpointInfo(const std::string& query_id,
                                       int fragment, int task) const;
 
-  /// Applies the simulated network cost for transferring `bytes` (actual
-  /// wire bytes of a frame, not an in-memory estimate). Sleeps outside any
-  /// lock — concurrent transfers must overlap, not serialize.
-  void SimulateTransfer(int64_t bytes) const;
-
-  /// Byte accounting only (the HTTP transport pays real socket costs).
+  /// Counts `bytes` (actual wire bytes) moved through the transport.
   void RecordTransfer(int64_t bytes) const {
     transferred_bytes_.fetch_add(bytes);
   }
@@ -285,6 +327,7 @@ class ExchangeManager {
   PageCodec codec_;
   mutable std::mutex mu_;
   std::map<StreamId, std::shared_ptr<ExchangeBuffer>> buffers_;
+  WaitList create_waiters_;  // consumers of not-yet-created buffers
   /// (query, fragment, task) -> endpoint, keyed as StreamId partition 0.
   std::map<StreamId, TaskEndpoint> endpoints_;
   std::atomic<bool> retain_for_replay_{false};

@@ -67,11 +67,15 @@ Result<Driver::State> Driver::Process(int64_t quantum_nanos,
     // Drive the sink (flush buffered output, propagate completion).
     Operator& sink = *operators_.back();
     if (!sink.IsFinished()) {
+      bool sink_needed_input = sink.needs_input();
       int64_t t0 = watch.ElapsedNanos();
       auto page_or = sink.GetOutput();
       sink.ctx().get_output_nanos.fetch_add(watch.ElapsedNanos() - t0);
       if (!page_or.ok()) return page_or.status();
       // Sinks produce no pages; a single-operator pipeline's "sink" may.
+      // A sink that flushed its buffered output takes input again: that is
+      // progress, or the driver would park with nothing to wake it.
+      if (!sink_needed_input && sink.needs_input()) progress = true;
     }
     if (sink.IsFinished()) {
       *cpu_nanos += watch.ElapsedNanos();

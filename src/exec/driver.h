@@ -19,11 +19,18 @@ namespace presto {
 /// every AddInput/GetOutput call, counts pages/bytes crossing each operator
 /// boundary, and attributes off-thread blocked time to the operators that
 /// reported IsBlocked() — so individual operators only count rows.
+///
+/// A blocked operator registers the driver's wake-up handle with what it
+/// waits on (every operator context shares the handle), so the executor
+/// can park a kBlocked driver until that event fires.
 class Driver {
  public:
   explicit Driver(std::vector<std::unique_ptr<Operator>> operators)
       : operators_(std::move(operators)),
-        no_more_signaled_(operators_.size(), false) {}
+        no_more_signaled_(operators_.size(), false),
+        wakeup_(std::make_shared<Wakeup>()) {
+    for (auto& op : operators_) op->ctx().set_wakeup(wakeup_);
+  }
 
   enum class State {
     kYielded,   // quantum expired with progress still possible
@@ -37,6 +44,7 @@ class Driver {
   Result<State> Process(int64_t quantum_nanos, int64_t* cpu_nanos);
 
   Operator& sink() { return *operators_.back(); }
+  const WakeupPtr& wakeup() const { return wakeup_; }
   const std::vector<std::unique_ptr<Operator>>& operators() const {
     return operators_;
   }
@@ -59,6 +67,7 @@ class Driver {
 
   std::vector<std::unique_ptr<Operator>> operators_;
   std::vector<bool> no_more_signaled_;
+  WakeupPtr wakeup_;
   std::vector<size_t> blocked_ops_;
   std::chrono::steady_clock::time_point blocked_since_;
   bool blocked_recorded_ = false;

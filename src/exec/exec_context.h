@@ -2,6 +2,7 @@
 #define PRESTOCPP_EXEC_EXEC_CONTEXT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/wakeup.h"
 #include "connector/connector.h"
 #include "exchange/exchange.h"
 #include "expr/evaluator.h"
@@ -22,22 +24,35 @@
 
 namespace presto {
 
-/// Queue of splits assigned (incrementally, §IV-D3) to a leaf task.
+/// Queue of splits assigned (incrementally, §IV-D3) to a leaf task. A scan
+/// waiting for a split is woken by the next Add or by NoMoreSplits.
 class SplitQueue {
  public:
   void Add(SplitPtr split) {
-    std::lock_guard<std::mutex> lock(mu_);
-    splits_.push_back(std::move(split));
+    std::vector<WakeupPtr> wake;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      splits_.push_back(std::move(split));
+      wake = waiters_.Take();
+    }
+    FireAll(wake);
   }
   void NoMoreSplits() {
-    std::lock_guard<std::mutex> lock(mu_);
-    no_more_ = true;
+    std::vector<WakeupPtr> wake;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      no_more_ = true;
+      wake = waiters_.Take();
+    }
+    FireAll(wake);
   }
-  /// nullopt + *done=false means "wait, more may come".
-  std::optional<SplitPtr> Poll(bool* done) {
+  /// nullopt + *done=false means "wait, more may come"; `waiter` is then
+  /// fired by the next Add or NoMoreSplits.
+  std::optional<SplitPtr> Poll(bool* done, const WakeupPtr& waiter = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     if (splits_.empty()) {
       *done = no_more_;
+      if (!no_more_) waiters_.Add(waiter);
       return std::nullopt;
     }
     SplitPtr split = std::move(splits_.front());
@@ -54,6 +69,7 @@ class SplitQueue {
   mutable std::mutex mu_;
   std::deque<SplitPtr> splits_;
   bool no_more_ = false;
+  WaitList waiters_;
 };
 
 /// Bounded result stream from the root fragment to the client. A slow
@@ -63,13 +79,15 @@ class ResultQueue {
   explicit ResultQueue(int64_t capacity_bytes = 16LL << 20)
       : capacity_bytes_(capacity_bytes) {}
 
-  /// Producer: false when the queue is full (retry later). A page is
-  /// admitted only if it fits within capacity, except into an empty queue
-  /// (progress guarantee for oversized pages).
-  bool TryPush(Page page) {
+  /// Producer: false when the queue is full (retry later); `waiter` is
+  /// then fired when the client takes a page. A page is admitted only if
+  /// it fits within capacity, except into an empty queue (progress
+  /// guarantee for oversized pages).
+  bool TryPush(Page page, const WakeupPtr& waiter = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     int64_t bytes = page.SizeInBytes();
     if (buffered_bytes_ > 0 && buffered_bytes_ + bytes > capacity_bytes_) {
+      space_waiters_.Add(waiter);
       return false;
     }
     buffered_bytes_ += bytes;
@@ -98,6 +116,9 @@ class ResultQueue {
       auto [page, bytes] = std::move(pages_.front());
       pages_.pop_front();
       buffered_bytes_ -= bytes;
+      std::vector<WakeupPtr> wake = space_waiters_.Take();
+      lock.unlock();
+      FireAll(wake);
       return std::optional<Page>(std::move(page));
     }
     if (!status_.ok()) return status_;
@@ -117,43 +138,64 @@ class ResultQueue {
   int64_t capacity_bytes_;
   bool finished_ = false;
   Status status_;
+  WaitList space_waiters_;  // producers blocked on a full queue
 };
 
 /// In-task bounded page queue joining pipelines (local shuffles, §IV-C4).
+/// A consumer waiting for a page is woken by the next push or by the last
+/// producer finishing; a producer waiting for room by the next pop.
 class LocalExchangeQueue {
  public:
   explicit LocalExchangeQueue(int producers, int64_t capacity_bytes = 8 << 20)
       : producers_(producers), capacity_bytes_(capacity_bytes) {}
 
-  bool TryPush(Page page) {
-    std::lock_guard<std::mutex> lock(mu_);
-    int64_t bytes = page.SizeInBytes();
-    // Same admission rule as ExchangeBuffer/ResultQueue: fit, or be the
-    // only page in an otherwise empty queue.
-    if (buffered_bytes_ > 0 && buffered_bytes_ + bytes > capacity_bytes_) {
-      return false;
+  bool TryPush(Page page, const WakeupPtr& waiter = nullptr) {
+    std::vector<WakeupPtr> wake;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      int64_t bytes = page.SizeInBytes();
+      // Same admission rule as ExchangeBuffer/ResultQueue: fit, or be the
+      // only page in an otherwise empty queue.
+      if (buffered_bytes_ > 0 && buffered_bytes_ + bytes > capacity_bytes_) {
+        space_waiters_.Add(waiter);
+        return false;
+      }
+      buffered_bytes_ += bytes;
+      pages_.emplace_back(std::move(page), bytes);  // see ResultQueue::TryPush
+      wake = data_waiters_.Take();
     }
-    buffered_bytes_ += bytes;
-    pages_.emplace_back(std::move(page), bytes);  // see ResultQueue::TryPush
+    FireAll(wake);
     return true;
   }
 
   void ProducerFinished() {
-    std::lock_guard<std::mutex> lock(mu_);
-    --producers_;
+    std::vector<WakeupPtr> wake;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--producers_ == 0) wake = data_waiters_.Take();
+    }
+    FireAll(wake);
   }
 
-  std::optional<Page> Poll(bool* done) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pages_.empty()) {
-      *done = producers_ == 0;
-      return std::nullopt;
+  std::optional<Page> Poll(bool* done, const WakeupPtr& waiter = nullptr) {
+    std::vector<WakeupPtr> wake;
+    std::optional<Page> out;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pages_.empty()) {
+        *done = producers_ == 0;
+        if (!*done) data_waiters_.Add(waiter);
+        return std::nullopt;
+      }
+      auto [page, bytes] = std::move(pages_.front());
+      pages_.pop_front();
+      buffered_bytes_ -= bytes;
+      *done = false;
+      out = std::move(page);
+      wake = space_waiters_.Take();
     }
-    auto [page, bytes] = std::move(pages_.front());
-    pages_.pop_front();
-    buffered_bytes_ -= bytes;
-    *done = false;
-    return page;
+    FireAll(wake);
+    return out;
   }
 
  private:
@@ -162,6 +204,8 @@ class LocalExchangeQueue {
   int64_t buffered_bytes_ = 0;
   int producers_;
   int64_t capacity_bytes_;
+  WaitList data_waiters_;   // consumers: push or last producer finished
+  WaitList space_waiters_;  // producers: pop
 };
 
 /// Static description of one task of a fragment.
@@ -188,11 +232,23 @@ struct TaskSpec {
 /// recovery re-creation while its siblings keep running.
 class TaskKillSwitch {
  public:
+  /// Kills the task and wakes every driver registered with OnKill, so a
+  /// parked driver observes the kill at once.
   void Kill(const Status& reason) {
+    std::vector<WakeupPtr> wake;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (killed_.load()) return;  // first reason wins
+      reason_ = reason;
+      killed_.store(true);
+      wake = kill_waiters_.Take();
+    }
+    FireAll(wake);
+  }
+  /// Registers a driver to wake on Kill (a no-op once killed).
+  void OnKill(const WakeupPtr& waiter) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (killed_.load()) return;  // first reason wins
-    reason_ = reason;
-    killed_.store(true);
+    if (!killed_.load()) kill_waiters_.Add(waiter);
   }
   bool killed() const { return killed_.load(); }
   Status reason() const {
@@ -204,6 +260,7 @@ class TaskKillSwitch {
   std::atomic<bool> killed_{false};
   mutable std::mutex mu_;
   Status reason_;
+  WaitList kill_waiters_;
 };
 
 /// Shared services every operator of a task can reach.
@@ -251,6 +308,16 @@ class OperatorContext {
 
   const TaskRuntime& runtime() const { return runtime_; }
   const TaskSpec& spec() const { return spec_; }
+
+  /// Wake-up handle of the driver running this operator (null outside a
+  /// driver). A blocked operator hands it to what it waits on.
+  const WakeupPtr& wakeup() const { return wakeup_; }
+  void set_wakeup(WakeupPtr wakeup) { wakeup_ = std::move(wakeup); }
+  /// Asks for the driver to be re-run no later than `deadline` should it
+  /// block in the current run (waits with a known end and no event).
+  void WakeAt(std::chrono::steady_clock::time_point deadline) {
+    if (wakeup_ != nullptr) wakeup_->WakeAt(deadline);
+  }
   const std::string& label() const { return label_; }
   int plan_node_id() const { return plan_node_id_; }
   int pipeline_id() const { return pipeline_id_; }
@@ -343,6 +410,7 @@ class OperatorContext {
   int plan_node_id_;
   int pipeline_id_;
   int64_t current_bytes_ = 0;
+  WakeupPtr wakeup_;
 };
 
 }  // namespace presto

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -125,7 +126,7 @@ class LocalExchangeSourceOperator final : public Operator {
   }
   Result<std::optional<Page>> GetOutput() override {
     bool done = false;
-    auto page = queue_->Poll(&done);
+    auto page = queue_->Poll(&done, ctx_->wakeup());
     blocked_ = !page.has_value() && !done;
     if (done) finished_ = true;
     if (page.has_value()) ctx_->rows_out.fetch_add(page->num_rows());
@@ -154,8 +155,9 @@ class LocalExchangeSinkOperator final : public Operator {
   }
   void NoMoreInput() override { Operator::NoMoreInput(); }
   Result<std::optional<Page>> GetOutput() override {
-    // Copy, not move: on a full queue the same page is retried later.
-    if (pending_.has_value() && queue_->TryPush(*pending_)) {
+    // Copy, not move: on a full queue the same page is retried once the
+    // consumer's next pop wakes this driver.
+    if (pending_.has_value() && queue_->TryPush(*pending_, ctx_->wakeup())) {
       ctx_->rows_out.fetch_add(pending_->num_rows());
       pending_.reset();
     }
@@ -235,9 +237,10 @@ class HashAggregationOperator final : public Operator, public Revocable {
   Spiller spiller_;
   bool revocable_registered_ = false;
   int64_t partial_flush_bytes_ = 16 << 20;
-  // Recursive + try_lock in Revoke(): a reservation made while holding the
-  // lock may synchronously revoke this same operator (self-revocation), and
-  // cross-operator revocation cycles must not deadlock.
+  // Recursive + TryLockForRevoke in Revoke(): a reservation made while
+  // holding the lock may synchronously revoke this same operator
+  // (self-revocation), and cross-operator revocation cycles must not
+  // deadlock.
   std::recursive_mutex revoke_mu_;
 };
 
@@ -246,9 +249,31 @@ class HashAggregationOperator final : public Operator, public Revocable {
 // ---------------------------------------------------------------------------
 
 /// Shared state between the build and probe pipelines of one hash join
-/// within a task (Fig. 4).
+/// within a task (Fig. 4). Probe drivers waiting for the build are woken by
+/// Publish().
 struct JoinBridge {
+  /// Marks the table ready and wakes the waiting probes.
+  void Publish() {
+    std::vector<WakeupPtr> wake;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ready.store(true);
+      wake = waiters.Take();
+    }
+    FireAll(wake);
+  }
+  /// True if ready; otherwise `waiter` is fired by Publish().
+  bool ReadyOrWait(const WakeupPtr& waiter) {
+    if (ready.load()) return true;
+    std::lock_guard<std::mutex> lock(mu);
+    if (ready.load()) return true;
+    waiters.Add(waiter);
+    return false;
+  }
+
   std::atomic<bool> ready{false};
+  std::mutex mu;     // guards waiters
+  WaitList waiters;  // probes waiting for the build
   std::vector<BlockPtr> columns;  // build columns + trailing null sentinel
   std::vector<int> key_columns;
   std::vector<DecodedBlock> keys;  // decoded key columns
@@ -478,9 +503,10 @@ class OutputSinkOperator final : public Operator {
     return Status::OK();
   }
   Result<std::optional<Page>> GetOutput() override {
-    // Copy, not move: a full result queue (slow client) retries the page.
+    // Copy, not move: a full result queue (slow client) retries the page
+    // once the client's next pop wakes this driver.
     if (pending_.has_value() &&
-        ctx_->runtime().results->TryPush(*pending_)) {
+        ctx_->runtime().results->TryPush(*pending_, ctx_->wakeup())) {
       ctx_->rows_out.fetch_add(pending_->num_rows());
       pending_.reset();
     }

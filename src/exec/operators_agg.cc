@@ -109,8 +109,8 @@ Page HashAggregationOperator::BuildOutputPage(bool intermediate) {
 }
 
 int64_t HashAggregationOperator::Revoke() {
-  std::unique_lock<std::recursive_mutex> lock(revoke_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return 0;  // busy on another thread: skip
+  std::unique_lock<std::recursive_mutex> lock(revoke_mu_, std::defer_lock);
+  if (!TryLockForRevoke(lock)) return 0;  // stayed busy on another thread
   if (finalized_ || groups_.size() == 0) return 0;
   if (node_->step() == AggregationStep::kPartial) return 0;
   // Spill current groups as an intermediate-format run.

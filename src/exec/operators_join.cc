@@ -75,7 +75,7 @@ void HashBuildOperator::NoMoreInput() {
       bytes + static_cast<int64_t>(bridge_->heads.size() * 4 +
                                    bridge_->next.size() * 4 +
                                    bridge_->hashes.size() * 8));
-  bridge_->ready.store(true);
+  bridge_->Publish();
 }
 
 // ---- HashProbeOperator ----
@@ -260,7 +260,7 @@ void HashProbeOperator::ProbeBatch(std::vector<int32_t>* probe_positions,
 
 Result<std::optional<Page>> HashProbeOperator::GetOutput() {
   PRESTO_RETURN_IF_ERROR(ctx_->CheckNotKilled());
-  if (!bridge_->ready.load()) return std::optional<Page>();
+  if (!bridge_->ReadyOrWait(ctx_->wakeup())) return std::optional<Page>();
   // Probe until a batch produces output or the page is exhausted: returning
   // nothing while the page is still pending would read as "no progress" to
   // the driver, which would park a runnable driver.

@@ -115,8 +115,9 @@ Result<std::optional<Page>> ExchangeSinkOperator::GetOutput() {
     auto& [partition, frame] = pending_.front();
     // TryEnqueue copies the frame only on admission, so on a full buffer
     // (backpressure) retrying the same frame later is free.
-    if (!Buffer(partition)->TryEnqueue(frame)) {
-      // Backpressure: the consumer has not drained its buffer (§IV-E2).
+    if (!Buffer(partition)->TryEnqueue(frame, ctx_->wakeup())) {
+      // Backpressure: the consumer has not drained its buffer (§IV-E2);
+      // its next ack wakes this driver.
       return std::optional<Page>();
     }
     if (TraceRecorder* trace = ctx_->runtime().trace) {

@@ -46,8 +46,8 @@ Status OrderByOperator::AddInput(Page page) {
 }
 
 int64_t OrderByOperator::Revoke() {
-  std::unique_lock<std::recursive_mutex> lock(revoke_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return 0;  // busy on another thread: skip
+  std::unique_lock<std::recursive_mutex> lock(revoke_mu_, std::defer_lock);
+  if (!TryLockForRevoke(lock)) return 0;  // stayed busy on another thread
   if (sorted_ready_ || index_.num_rows() == 0) return 0;
   // Sort the in-memory rows and spill them as a sorted run.
   index_.Finish(false);

@@ -51,7 +51,7 @@ Result<std::optional<Page>> TableScanOperator::GetOutput() {
   for (;;) {
     if (current_ == nullptr) {
       bool done = false;
-      auto split = queue.Poll(&done);
+      auto split = queue.Poll(&done, ctx_->wakeup());
       if (!split.has_value()) {
         blocked_ = !done;
         finished_ = done;
@@ -80,6 +80,15 @@ Result<std::optional<Page>> TableScanOperator::GetOutput() {
 }
 
 // ---- RemoteSourceOperator ----
+
+namespace {
+
+// An HTTP fetch has no in-process event to wait on (the data arrives on a
+// socket, and the fetch itself already long-polled), so a blocked HTTP
+// consumer is re-run after this fixed delay.
+constexpr std::chrono::microseconds kHttpRearmDelay{200};
+
+}  // namespace
 
 RemoteSourceOperator::RemoteSourceOperator(
     std::unique_ptr<OperatorContext> ctx, int source_fragment,
@@ -126,21 +135,24 @@ Status RemoteSourceOperator::PollInProcess(size_t i) {
   const TaskSpec& spec = ctx_->spec();
   auto& buffer = buffers_[i];
   if (buffer == nullptr) {
+    // Producer not started yet: woken when it creates its buffers.
     buffer = exchange->GetBuffer({spec.query_id, source_fragment_,
-                                  static_cast<int>(i), spec.task_index});
-    if (buffer == nullptr) return Status::OK();  // producer not started yet
+                                  static_cast<int>(i), spec.task_index},
+                                 ctx_->wakeup());
+    if (buffer == nullptr) return Status::OK();
   }
   bool finished = false;
-  auto frame = buffer->Poll(&finished);
+  ExchangeBuffer::Clock::time_point arrives_at{};
+  auto frame = buffer->Poll(&finished, ctx_->wakeup(), &arrives_at);
   if (finished) {
     done_[i] = true;
     return Status::OK();
   }
   if (frame.has_value()) {
-    // The network charge is the frame's actual wire size — compressed
-    // serialized bytes, not the in-memory Page estimate.
-    exchange->SimulateTransfer(frame->wire_bytes());
+    exchange->RecordTransfer(frame->wire_bytes());
     PRESTO_RETURN_IF_ERROR(DecodeFrames(frame->bytes, /*skip_frames=*/0));
+  } else if (arrives_at != ExchangeBuffer::Clock::time_point{}) {
+    ctx_->WakeAt(arrives_at);  // a frame is on the simulated wire
   }
   return Status::OK();
 }
@@ -245,6 +257,9 @@ Result<std::optional<Page>> RemoteSourceOperator::GetOutput() {
   }
   finished_ = all_done;
   blocked_ = !all_done;
+  if (blocked_ && http) {
+    ctx_->WakeAt(std::chrono::steady_clock::now() + kHttpRearmDelay);
+  }
   return std::optional<Page>();
 }
 

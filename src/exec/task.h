@@ -61,6 +61,7 @@ class TaskExec {
   /// re-creation, ISSUE 7).
   void Kill(const Status& reason) { kill_switch_.Kill(reason); }
   const TaskKillSwitch& kill_switch() const { return kill_switch_; }
+  TaskKillSwitch& kill_switch() { return kill_switch_; }
 
  private:
   using OperatorFactory = std::function<std::unique_ptr<Operator>()>;

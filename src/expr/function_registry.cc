@@ -369,9 +369,36 @@ FunctionRegistry::FunctionRegistry() {
     Register(Define<Bigint(Bigint, Bigint)>(name, body));
     Register(Define<Double(Double, Double)>(name, body));
   };
-  arithmetic("plus", [](auto x, auto y) { return x + y; });
-  arithmetic("minus", [](auto x, auto y) { return x - y; });
-  arithmetic("multiply", [](auto x, auto y) { return x * y; });
+  // BIGINT +, - and * fail the query when the result does not fit, as in
+  // Presto; DOUBLE follows IEEE (overflow gives an infinity).
+  auto checked = [this](const char* name, const char* overflow, auto op,
+                        auto checked_op) {
+    Register(Define<Bigint(Bigint, Bigint)>(
+        name, [overflow, checked_op](int64_t x, int64_t y) -> Maybe<int64_t> {
+          int64_t result;
+          if (checked_op(x, y, &result)) return Fail{overflow};
+          return result;
+        }));
+    Register(Define<Double(Double, Double)>(name, op));
+  };
+  checked(
+      "plus", "bigint addition overflow",
+      [](double x, double y) { return x + y; },
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_add_overflow(x, y, r);
+      });
+  checked(
+      "minus", "bigint subtraction overflow",
+      [](double x, double y) { return x - y; },
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_sub_overflow(x, y, r);
+      });
+  checked(
+      "multiply", "bigint multiplication overflow",
+      [](double x, double y) { return x * y; },
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_mul_overflow(x, y, r);
+      });
   // Division by zero yields NULL (documented deviation: Presto raises a
   // query error). INT64_MIN / -1 does not fit in a BIGINT and fails.
   arithmetic("divide", [](auto x, auto y) -> Maybe<decltype(x)> {
@@ -390,9 +417,13 @@ FunctionRegistry::FunctionRegistry() {
         if (y == -1) return 0;
         return x % y;
       }));
-  auto negate = [](auto x) { return -x; };
-  Register(Define<Bigint(Bigint)>("negate", negate));
-  Register(Define<Double(Double)>("negate", negate));
+  Register(Define<Bigint(Bigint)>("negate", [](int64_t x) -> Maybe<int64_t> {
+    if (x == std::numeric_limits<int64_t>::min()) {
+      return Fail{"bigint negation overflow"};
+    }
+    return -x;
+  }));
+  Register(Define<Double(Double)>("negate", [](double x) { return -x; }));
 
   // ---- Comparisons (all orderable types) ----
   auto comparison = [this](const char* name, auto accept) {

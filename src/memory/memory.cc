@@ -10,11 +10,20 @@
 namespace presto {
 
 void QueryMemory::Kill(const Status& reason) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!killed_.load()) {
+  std::vector<WakeupPtr> wake;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (killed_.load()) return;
     kill_reason_ = reason;
     killed_.store(true);
+    wake = kill_waiters_.Take();
   }
+  FireAll(wake);
+}
+
+void QueryMemory::OnKill(const WakeupPtr& waiter) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!killed_.load()) kill_waiters_.Add(waiter);
 }
 
 Status QueryMemory::kill_reason() const {

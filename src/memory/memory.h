@@ -2,15 +2,18 @@
 #define PRESTOCPP_MEMORY_MEMORY_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
+#include "common/wakeup.h"
 
 namespace presto {
 
@@ -41,6 +44,23 @@ class Revocable {
   virtual int64_t Revoke() = 0;
 };
 
+/// Takes a spillable operator's lock for Revoke(), waiting up to 20 ms
+/// (about one page of input) while the operator is busy on another thread;
+/// false if it stayed busy. Skipping a busy operator at once lost every
+/// race against one that is fed continuously, and the query ran out of
+/// memory without spilling; the bound keeps cross-operator revocation
+/// cycles from deadlocking. Polls: this runs only under memory pressure.
+template <typename Lock>
+bool TryLockForRevoke(Lock& lock) {
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(20);
+  while (!lock.try_lock()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
 /// Per-query memory ledger shared by all workers (global limits) plus the
 /// kill switch: when a query exceeds its limits it is marked killed and all
 /// its drivers terminate with the recorded reason.
@@ -64,8 +84,11 @@ class QueryMemory {
     }
   }
 
-  /// Marks the query failed; the first reason wins.
+  /// Marks the query failed; the first reason wins. Wakes every driver
+  /// registered with OnKill, so a parked driver observes the kill at once.
   void Kill(const Status& reason);
+  /// Registers a driver to wake on Kill (a no-op once killed).
+  void OnKill(const WakeupPtr& waiter);
   bool killed() const { return killed_.load(); }
   Status kill_reason() const;
 
@@ -84,6 +107,7 @@ class QueryMemory {
   std::atomic<TraceRecorder*> trace_{nullptr};
   mutable std::mutex mu_;
   Status kill_reason_;
+  WaitList kill_waiters_;
 };
 
 /// Per-worker memory pools (§IV-F2): a general pool shared by all queries

@@ -90,6 +90,7 @@ QueryExecution::~QueryExecution() {
   // promotion to discharge a won replica's held callback.
   if (speculation_ != nullptr) speculation_->Stop();
   stop_split_thread_.store(true);
+  done_cv_.notify_all();  // cut a split-loop wait short
   if (split_thread_.joinable()) split_thread_.join();
   stop_fetch_thread_.store(true);
   if (result_fetch_thread_.joinable()) result_fetch_thread_.join();
@@ -131,10 +132,22 @@ void QueryExecution::Cancel(const Status& reason) {
     }
     memory_->Kill(reason);
     results_.Finish(reason);
+    done_cv_.notify_all();  // cut a split-loop wait short
     // Remote tasks share no memory context with the coordinator, so the
     // kill must travel over the wire.
     if (process_mode_) AbortAllTasks();
   });
+}
+
+void QueryExecution::WaitSplitLoop(std::chrono::microseconds max_wait) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (remaining_tasks_ == 0 || stop_split_thread_.load() ||
+      memory_->killed()) {
+    return;
+  }
+  // No predicate: any notify (a task settling, a recovery round ending)
+  // is a reason to look at the splits again.
+  done_cv_.wait_for(lock, max_wait);
 }
 
 void QueryExecution::AbortAllTasks() {
@@ -437,7 +450,7 @@ void QueryExecution::RunRecovery(const RecoveryRequest& request) {
       }
       FinishIfDrainedLocked();
       done_cv_.notify_all();
-      recovery_pause_.store(false);
+      EndRecoveryPause();
       return;
     }
     Status cause = request.cause;
@@ -449,7 +462,7 @@ void QueryExecution::RunRecovery(const RecoveryRequest& request) {
       size_t rt = static_cast<size_t>(request.task);
       if (request.generation != generations_[rf][rt]) {
         // An earlier round already replaced this incarnation.
-        recovery_pause_.store(false);
+        EndRecoveryPause();
         return;
       }
       dead = placement_[rf][rt];
@@ -596,7 +609,7 @@ void QueryExecution::RunRecovery(const RecoveryRequest& request) {
     done_cv_.notify_all();
   }
   if (failed_query || replacements.empty()) {
-    recovery_pause_.store(false);
+    EndRecoveryPause();
     return;
   }
 
@@ -637,7 +650,7 @@ void QueryExecution::RunRecovery(const RecoveryRequest& request) {
       }
     }
   }
-  recovery_pause_.store(false);
+  EndRecoveryPause();
 
   for (const auto& [f, t, gen, launched] : launch_failures) {
     OnTaskDone(f, t, gen,
@@ -931,7 +944,7 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
           rit->second.generation != generation || !rit->second.won) {
         // A recovery round or teardown already settled this replica (and
         // discharged its held callback).
-        recovery_pause_.store(false);
+        EndRecoveryPause();
         return;
       }
       // Decide commit vs abandon. Promotion restarts every unfinished
@@ -1056,7 +1069,7 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
     done_cv_.notify_all();
   }
   if (!promoted || replacements.empty()) {
-    recovery_pause_.store(false);
+    EndRecoveryPause();
     return;
   }
 
@@ -1092,7 +1105,7 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
       }
     }
   }
-  recovery_pause_.store(false);
+  EndRecoveryPause();
   for (const auto& [rf, rt, rgen, launched] : launch_failures) {
     OnTaskDone(rf, rt, rgen,
                Status::IOError("post-promotion restart create failed: " +
@@ -1336,15 +1349,19 @@ void QueryExecution::SplitSchedulingLoop() {
     return tasks_[static_cast<size_t>(fragment)];
   };
 
+  // A round that assigned nothing waits this long at most before polling
+  // the split queues again; completion, recovery and query end wake it.
+  constexpr std::chrono::microseconds kIdleRoundWait{500};
   bool work_left = true;
   while (!stop_split_thread_.load() && !memory_->killed()) {
     if (recovery_pause_.load()) {
       // A recovery round is swapping task clients and replaying journals;
       // park until the tables are consistent again.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      WaitSplitLoop(std::chrono::milliseconds(1));
       continue;
     }
     work_left = false;
+    bool assigned = false;  // any split or end-of-splits marker delivered
     for (auto& pending : sources) {
       if (pending.exhausted) continue;
       work_left = true;
@@ -1393,6 +1410,7 @@ void QueryExecution::SplitSchedulingLoop() {
               continue;
             }
             pending.exhausted = true;
+            assigned = true;
             if (recovery_enabled_) {
               no_more_splits_[static_cast<size_t>(pending.fragment)].insert(
                   pending.node_id);
@@ -1491,6 +1509,7 @@ void QueryExecution::SplitSchedulingLoop() {
         Cancel(assign_failure);
         return;
       }
+      assigned = true;
       // Ship the batch (buffered update POSTs; no-op in-process). A
       // superseded client turns this into a no-op; a client whose worker
       // just died reports an IOError the journal replay makes good.
@@ -1559,7 +1578,8 @@ void QueryExecution::SplitSchedulingLoop() {
       if (remaining_tasks_ == 0) return;
     }
     if (!work_left && !config.adaptive_writer_scaling) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    // A round that delivered splits goes straight on to the next batch.
+    if (!assigned) WaitSplitLoop(kIdleRoundWait);
   }
 }
 

@@ -231,6 +231,14 @@ class QueryExecution {
   /// Parks the split-scheduling loop while a recovery round swaps clients
   /// and replays journals.
   std::atomic<bool> recovery_pause_{false};
+  /// Ends a recovery round's pause and wakes the split loop waiting on it.
+  void EndRecoveryPause() {
+    recovery_pause_.store(false);
+    done_cv_.notify_all();
+  }
+  /// Sleeps the split loop (on done_cv_) until a task completes, a recovery
+  /// round ends, the query ends, or `max_wait` passes.
+  void WaitSplitLoop(std::chrono::microseconds max_wait);
   std::unique_ptr<TaskRecoveryManager> recovery_;
   int liveness_listener_ = -1;
   Counter* retries_counter_ = nullptr;        // presto_task_retries_total

@@ -1,9 +1,18 @@
 #include "schedule/task_executor.h"
 
+#include <algorithm>
+
 #include "common/fault_injection.h"
 #include "common/stopwatch.h"
 
 namespace presto {
+
+namespace {
+
+// Re-run delay for a driver that blocked without registering a wait.
+constexpr std::chrono::milliseconds kStrayBlockDelay{1};
+
+}  // namespace
 
 TaskExecutor::TaskExecutor(ExecutorConfig config, int worker_id)
     : config_(config), worker_id_(worker_id) {
@@ -20,6 +29,17 @@ TaskExecutor::~TaskExecutor() {
   }
   cv_.notify_all();
   for (auto& t : threads_) t.join();
+  // Drivers still registered (their tasks were abandoned) may sit in wait
+  // lists that outlive the executor: disarm them so a late event does not
+  // call into a destroyed executor.
+  std::vector<std::shared_ptr<TaskEntry>> tasks;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks = tasks_;
+  }
+  for (const auto& task : tasks) {
+    for (const auto& entry : task->drivers) entry->driver->wakeup()->Arm({});
+  }
 }
 
 void TaskExecutor::AddTask(std::shared_ptr<TaskExec> task,
@@ -34,14 +54,27 @@ void TaskExecutor::AddTask(std::shared_ptr<TaskExec> task,
     entry->on_done(Status::OK());
     return;
   }
-  auto now = std::chrono::steady_clock::now();
+  TaskExec& exec = *entry->task;
+  for (auto& driver : exec.drivers()) {
+    auto de = std::make_unique<DriverEntry>();
+    de->driver = driver.get();
+    de->task_entry = entry.get();
+    const WakeupPtr& wakeup = driver->wakeup();
+    wakeup->Arm([this, ptr = de.get()] { Unpark(ptr); });
+    // A kill must reach parked drivers too, or they would never see it.
+    if (exec.runtime().query_memory != nullptr) {
+      exec.runtime().query_memory->OnKill(wakeup);
+    }
+    exec.kill_switch().OnKill(wakeup);
+    entry->drivers.push_back(std::move(de));
+  }
+  auto now = Clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back(entry);
-    for (auto& driver : entry->task->drivers()) {
-      DriverEntry de{driver.get(), entry};
-      de.runnable_since = now;
-      levels_[0].push_back(std::move(de));
+    for (auto& de : entry->drivers) {
+      de->runnable_since = now;
+      levels_[0].push_back(de.get());
     }
   }
   cv_.notify_all();
@@ -59,29 +92,39 @@ int TaskExecutor::LevelOf(int64_t cpu_nanos) const {
   return 4;
 }
 
-std::optional<TaskExecutor::DriverEntry> TaskExecutor::NextDriver() {
-  // Caller holds mu_. Re-arm parked (blocked) drivers whose retry deadline
-  // passed: blocked drivers live outside the runnable queues so they never
-  // distort the MLFQ level shares.
-  auto now = std::chrono::steady_clock::now();
-  while (!parked_.empty() && parked_.front().first <= now) {
-    DriverEntry parked = std::move(parked_.front().second);
-    parked_.pop_front();
-    parked.runnable_since = now;  // parked time is blocked, not queued
-    int level = LevelOf(parked.task_entry->task->cpu_nanos().load());
-    levels_[level].push_back(std::move(parked));
+void TaskExecutor::EnqueueLocked(DriverEntry* entry, Clock::time_point now) {
+  entry->runnable_since = now;
+  int level = LevelOf(entry->task_entry->task->cpu_nanos().load());
+  levels_[level].push_back(entry);
+}
+
+TaskExecutor::DriverEntry* TaskExecutor::NextDriver() {
+  // Re-arm parked drivers whose deadline passed: blocked drivers live
+  // outside the runnable queues so they never distort the MLFQ level
+  // shares.
+  if (!deadlines_.empty()) {
+    auto now = Clock::now();
+    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+      DriverEntry* parked = deadlines_.begin()->second;
+      deadlines_.erase(deadlines_.begin());
+      parked->deadline.reset();
+      parked->parked = false;
+      --parked_;
+      deadline_wakeups_.fetch_add(1);
+      EnqueueLocked(parked, now);  // parked time is blocked, not queued
+    }
   }
   // Pick the non-empty level with the lowest consumed/share ratio so each
   // level receives its configured fraction of CPU time (§IV-F1).
   if (!config_.use_mlfq) {
     for (auto& level : levels_) {
       if (!level.empty()) {
-        DriverEntry entry = level.front();
+        DriverEntry* entry = level.front();
         level.pop_front();
         return entry;
       }
     }
-    return std::nullopt;
+    return nullptr;
   }
   int best = -1;
   double best_ratio = 0;
@@ -93,41 +136,69 @@ std::optional<TaskExecutor::DriverEntry> TaskExecutor::NextDriver() {
       best_ratio = ratio;
     }
   }
-  if (best < 0) return std::nullopt;
-  DriverEntry entry = levels_[best].front();
+  if (best < 0) return nullptr;
+  DriverEntry* entry = levels_[best].front();
   levels_[best].pop_front();
   return entry;
 }
 
-void TaskExecutor::Requeue(DriverEntry entry) {
-  entry.runnable_since = std::chrono::steady_clock::now();
-  int level = LevelOf(entry.task_entry->task->cpu_nanos().load());
+void TaskExecutor::Requeue(DriverEntry* entry) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    levels_[level].push_back(std::move(entry));
+    EnqueueLocked(entry, Clock::now());
   }
   cv_.notify_one();
 }
 
-void TaskExecutor::Park(DriverEntry entry) {
-  // Exponential backoff: 100us doubling to 6.4ms.
-  int shift = std::min(entry.consecutive_blocks, 6);
-  ++entry.consecutive_blocks;
-  auto retry = std::chrono::steady_clock::now() +
-               std::chrono::microseconds(100LL << shift);
+void TaskExecutor::Park(DriverEntry* entry, uint64_t seq) {
+  const Wakeup& wakeup = *entry->driver->wakeup();
+  std::optional<Clock::time_point> deadline = wakeup.deadline();
+  if (!deadline.has_value() && !wakeup.waiting()) {
+    // Blocked without naming a wait: a missing signal. Re-run it soon
+    // rather than never; it shows as a deadline wake-up.
+    deadline = Clock::now() + kStrayBlockDelay;
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = parked_.begin();
-  while (it != parked_.end() && it->first <= retry) ++it;
-  parked_.emplace(it, retry, std::move(entry));
+  if (wakeup.seq() != seq) {
+    // The event fired while the driver ran: it is runnable again. This
+    // thread returns to the loop and finds it, so no notify is needed.
+    signal_wakeups_.fetch_add(1);
+    EnqueueLocked(entry, Clock::now());
+    return;
+  }
+  entry->parked = true;
+  ++parked_;
+  // An idle thread needs no notify for the deadline either: this thread
+  // goes back to the loop and sleeps no later than the earliest one.
+  if (deadline.has_value()) {
+    entry->deadline = deadlines_.emplace(*deadline, entry);
+  }
 }
 
-void TaskExecutor::DriverDone(const DriverEntry& entry,
-                              const Status& status) {
-  std::function<void(Status)> callback;
-  Status callback_status;
+void TaskExecutor::Unpark(DriverEntry* entry) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    TaskEntry& te = *entry.task_entry;
+    if (!entry->parked) return;  // running or queued: seq covers it
+    if (entry->deadline.has_value()) {
+      deadlines_.erase(*entry->deadline);
+      entry->deadline.reset();
+    }
+    entry->parked = false;
+    --parked_;
+    signal_wakeups_.fetch_add(1);
+    EnqueueLocked(entry, Clock::now());
+  }
+  cv_.notify_one();
+}
+
+void TaskExecutor::DriverDone(DriverEntry* entry, const Status& status) {
+  // Disarm first: once Arm returns no event can reach Unpark for this
+  // entry, which the last driver's teardown below destroys.
+  entry->driver->wakeup()->Arm({});
+  std::shared_ptr<TaskEntry> finished;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    TaskEntry& te = *entry->task_entry;
     --te.remaining_drivers;
     if (!status.ok() && te.first_error.ok()) te.first_error = status;
     if (te.remaining_drivers > 0) return;
@@ -135,64 +206,74 @@ void TaskExecutor::DriverDone(const DriverEntry& entry,
     // anymore, so the callback may tear it down. Firing on the FIRST error
     // instead (as this used to) let the owner destroy the task while
     // sibling drivers were still queued — a use-after-free.
-    callback = std::move(te.on_done);
-    te.on_done = nullptr;
-    callback_status = te.first_error;
-    tasks_.erase(std::remove_if(tasks_.begin(), tasks_.end(),
-                                [&](const auto& t) {
-                                  return t.get() == &te;
-                                }),
-                 tasks_.end());
+    auto it = std::find_if(tasks_.begin(), tasks_.end(),
+                           [&](const auto& t) { return t.get() == &te; });
+    finished = std::move(*it);
+    tasks_.erase(it);
   }
-  if (callback) callback(callback_status);
+  std::function<void(Status)> callback = std::move(finished->on_done);
+  finished->on_done = nullptr;
+  if (callback) callback(finished->first_error);
 }
 
 void TaskExecutor::WorkerLoop() {
   for (;;) {
-    DriverEntry entry{nullptr, nullptr};
+    DriverEntry* entry = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (stop_) return;
-      auto next = NextDriver();
-      if (!next.has_value()) {
-        cv_.wait_for(lock, std::chrono::microseconds(100));
+      for (;;) {
         if (stop_) return;
-        continue;
+        entry = NextDriver();
+        if (entry != nullptr) break;
+        // Idle: sleep until a driver becomes runnable or the earliest
+        // parked deadline passes — no periodic wake-ups.
+        if (deadlines_.empty()) {
+          cv_.wait(lock);
+        } else {
+          // A copy: wait_until holds its argument by reference while the
+          // lock is released, and an Unpark may erase that map node.
+          Clock::time_point earliest = deadlines_.begin()->first;
+          cv_.wait_until(lock, earliest);
+        }
       }
-      entry = std::move(*next);
     }
-    TaskExec& task = *entry.task_entry->task;
+    TaskExec& task = *entry->task_entry->task;
+    // Read before anything that may park the driver: an event from here on
+    // turns the park into a requeue.
+    uint64_t seq = entry->driver->wakeup()->BeginRun();
 
     // Runnable-to-dispatch wait: charged to the pipeline's sink operator
     // (the EXPLAIN ANALYZE "queued" column).
-    if (entry.runnable_since != std::chrono::steady_clock::time_point{}) {
+    if (entry->runnable_since != Clock::time_point{}) {
       int64_t waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() -
-                           entry.runnable_since)
+                           Clock::now() - entry->runnable_since)
                            .count();
-      entry.driver->sink().ctx().queued_nanos.fetch_add(waited);
+      entry->driver->sink().ctx().queued_nanos.fetch_add(waited);
     }
 
-    // Query killed (OOM, cancel, or early finish): drop the driver.
+    // Query killed (OOM, cancel, or early finish), or this task alone
+    // superseded: drop the driver.
     if (task.runtime().query_memory != nullptr &&
         task.runtime().query_memory->killed()) {
       DriverDone(entry, task.runtime().query_memory->kill_reason());
       continue;
     }
+    if (task.kill_switch().killed()) {
+      DriverDone(entry, task.kill_switch().reason());
+      continue;
+    }
 
     // §IV-E2: consistently full output buffers reduce a task's effective
-    // concurrency — run this driver only if buffers have room.
+    // concurrency — run this driver only if buffers have room. Otherwise
+    // it would only stall on them; park it until the consumer acks.
     if (task.spec().consumer_partitions > 0 &&
-        task.runtime().exchange != nullptr) {
-      double utilization = task.runtime().exchange->OutputUtilization(
-          task.spec().query_id, task.spec().fragment_id,
-          task.spec().task_index);
-      if (utilization > config_.buffer_backpressure_threshold) {
-        // The driver would only stall on its full output buffers; park it
-        // (reducing the task's effective concurrency, Â§IV-E2).
-        Park(std::move(entry));
-        continue;
-      }
+        task.runtime().exchange != nullptr &&
+        task.runtime().exchange->OutputAbove(
+            task.spec().query_id, task.spec().fragment_id,
+            task.spec().task_index, config_.buffer_backpressure_threshold,
+            entry->driver->wakeup())) {
+      Park(entry, seq);
+      continue;
     }
 
     if (FaultInjection::Enabled()) {
@@ -210,10 +291,10 @@ void TaskExecutor::WorkerLoop() {
       }
     }
 
-    TraceRecorder* trace = entry.driver->trace();
+    TraceRecorder* trace = entry->driver->trace();
     int64_t quantum_start = trace != nullptr ? trace->NowNanos() : 0;
     int64_t cpu = 0;
-    auto result = entry.driver->Process(config_.quantum_nanos, &cpu);
+    auto result = entry->driver->Process(config_.quantum_nanos, &cpu);
     busy_nanos_.fetch_add(cpu);
     task.cpu_nanos().fetch_add(cpu);
     int level;
@@ -236,19 +317,19 @@ void TaskExecutor::WorkerLoop() {
                               ? "finished"
                           : *result == Driver::State::kBlocked ? "blocked"
                                                                : "yielded";
-      trace->RecordSpan("executor", "quantum", entry.driver->trace_pid(),
-                        entry.driver->trace_tid(), quantum_start,
+      trace->RecordSpan("executor", "quantum", entry->driver->trace_pid(),
+                        entry->driver->trace_tid(), quantum_start,
                         trace->NowNanos() - quantum_start,
                         {{"level", std::to_string(level)}, {"state", state}});
-      if (level != entry.last_level) {
+      if (level != entry->last_level) {
         trace->RecordInstant("executor", "level_change",
-                             entry.driver->trace_pid(),
-                             entry.driver->trace_tid(),
-                             {{"from", std::to_string(entry.last_level)},
+                             entry->driver->trace_pid(),
+                             entry->driver->trace_tid(),
+                             {{"from", std::to_string(entry->last_level)},
                               {"to", std::to_string(level)}});
       }
     }
-    entry.last_level = level;
+    entry->last_level = level;
     if (!result.ok()) {
       // Fail-fast propagation: a genuine error kills the query's sibling
       // drivers via the shared memory context. A Cancelled status is
@@ -270,14 +351,13 @@ void TaskExecutor::WorkerLoop() {
         break;
       case Driver::State::kYielded:
         // Still runnable: back into its MLFQ level.
-        entry.consecutive_blocks = 0;
-        Requeue(std::move(entry));
+        Requeue(entry);
         break;
       case Driver::State::kBlocked:
-        // Out of the runnable queues until the retry deadline (Â§IV-F1:
+        // Out of the runnable queues until its event or deadline (§IV-F1:
         // blocked drivers relinquish the thread and must not distort the
         // MLFQ level shares).
-        Park(std::move(entry));
+        Park(entry, seq);
         break;
       case Driver::State::kFailed: {
         Status failed = Status::Internal("driver failed");

@@ -6,8 +6,10 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -39,6 +41,11 @@ struct ExecutorConfig {
 /// quantum, then yields. Tasks are classified into the five levels of a
 /// multi-level feedback queue by their accumulated CPU time, so new and
 /// inexpensive queries get CPU within milliseconds even under load (Fig. 8).
+///
+/// A blocked driver is parked outside the queues until the event it waits
+/// on fires its Wakeup (a split, a page, room in a full buffer, a join
+/// build, a kill), or until a deadline it asked for passes; idle threads
+/// sleep until a driver becomes runnable or the earliest deadline.
 class TaskExecutor {
  public:
   TaskExecutor(ExecutorConfig config, int worker_id);
@@ -77,8 +84,12 @@ class TaskExecutor {
   /// Blocked drivers parked outside the runnable queues.
   int64_t parked_drivers() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int64_t>(parked_.size());
+    return parked_;
   }
+  /// Parked drivers put back into the run queues since startup, by cause:
+  /// the event they waited on fired, or a deadline they asked for passed.
+  int64_t signal_wakeups() const { return signal_wakeups_.load(); }
+  int64_t deadline_wakeups() const { return deadline_wakeups_.load(); }
   /// Drivers not yet drained, runnable or parked or mid-quantum.
   int64_t running_drivers() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -96,52 +107,66 @@ class TaskExecutor {
   }
 
  private:
+  using Clock = std::chrono::steady_clock;
+  struct DriverEntry;
+
   struct TaskEntry {
     std::shared_ptr<TaskExec> task;
     std::function<void(Status)> on_done;
     int remaining_drivers = 0;
     /// First driver error; reported to on_done when the last driver drains.
     Status first_error;
+    std::vector<std::unique_ptr<DriverEntry>> drivers;
   };
 
+  /// One driver's scheduling state; lives as long as its TaskEntry. The
+  /// parked fields are guarded by mu_.
   struct DriverEntry {
-    Driver* driver;
-    std::shared_ptr<TaskEntry> task_entry;
-    // Consecutive blocked runs; drives exponential park backoff so blocked
-    // drivers do not livelock small machines.
-    int consecutive_blocks = 0;
+    Driver* driver = nullptr;
+    TaskEntry* task_entry = nullptr;
     // When the driver last became runnable; the wait until dequeue is the
     // driver's queued time (charged to its sink operator).
-    std::chrono::steady_clock::time_point runnable_since{};
+    Clock::time_point runnable_since{};
     // MLFQ level of the previous quantum, for level-change trace instants.
     int last_level = 0;
+    bool parked = false;
+    // Position in deadlines_ while parked with a deadline.
+    std::optional<std::multimap<Clock::time_point, DriverEntry*>::iterator>
+        deadline;
   };
 
   void WorkerLoop();
   int LevelOf(int64_t cpu_nanos) const;
-  // Picks the next runnable driver honoring level shares; nullopt if empty.
-  // Promotes blocked drivers whose retry deadline passed first.
-  std::optional<DriverEntry> NextDriver();
-  void Requeue(DriverEntry entry);
+  // Picks the next runnable driver honoring level shares; null if none.
+  // Re-arms parked drivers whose deadline passed first. Caller holds mu_.
+  DriverEntry* NextDriver();
+  // Appends to the driver's MLFQ level; caller holds mu_.
+  void EnqueueLocked(DriverEntry* entry, Clock::time_point now);
+  void Requeue(DriverEntry* entry);
   // Parks a blocked driver outside the runnable queues (§IV-F1: blocked
-  // drivers relinquish their thread and are not schedulable until re-armed).
-  void Park(DriverEntry entry);
-  void DriverDone(const DriverEntry& entry, const Status& status);
+  // drivers relinquish their thread) unless its Wakeup fired since `seq`
+  // was read, in which case it is requeued at once.
+  void Park(DriverEntry* entry, uint64_t seq);
+  // The Wakeup callback: moves a parked driver back to its level.
+  void Unpark(DriverEntry* entry);
+  void DriverDone(DriverEntry* entry, const Status& status);
 
   ExecutorConfig config_;
   int worker_id_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<DriverEntry> levels_[5];
-  // Blocked drivers with their earliest retry time.
-  std::deque<std::pair<std::chrono::steady_clock::time_point, DriverEntry>>
-      parked_;
+  std::deque<DriverEntry*> levels_[5];
+  // Parked drivers that asked for a deadline, earliest first.
+  std::multimap<Clock::time_point, DriverEntry*> deadlines_;
+  int64_t parked_ = 0;
   std::vector<std::shared_ptr<TaskEntry>> tasks_;
   double level_consumed_[5] = {0, 0, 0, 0, 0};
   bool stop_ = false;
   std::vector<std::thread> threads_;
   std::atomic<int64_t> busy_nanos_{0};
   std::atomic<int64_t> quanta_[5] = {};
+  std::atomic<int64_t> signal_wakeups_{0};
+  std::atomic<int64_t> deadline_wakeups_{0};
   std::atomic<Histogram*> quantum_histogram_{nullptr};
 };
 

@@ -76,6 +76,18 @@ void WorkerRuntime::RegisterWorkerGauges() {
       "presto_worker_parked_drivers",
       "Blocked drivers parked outside the runnable queues",
       [executor] { return static_cast<double>(executor->parked_drivers()); });
+  // Why parked drivers were re-armed: a rising deadline count with no
+  // timed waits in the plan means a signal was never sent.
+  metrics_.RegisterGauge(
+      "presto_executor_wakeups_total",
+      "Parked drivers re-armed, by cause (the awaited event or a deadline)",
+      [executor] { return static_cast<double>(executor->signal_wakeups()); },
+      {{"cause", "signal"}});
+  metrics_.RegisterGauge(
+      "presto_executor_wakeups_total",
+      "Parked drivers re-armed, by cause (the awaited event or a deadline)",
+      [executor] { return static_cast<double>(executor->deadline_wakeups()); },
+      {{"cause", "deadline"}});
   for (int level = 0; level < 5; ++level) {
     metrics_.RegisterGauge(
         "presto_worker_queue_depth",

@@ -297,5 +297,52 @@ TEST(EngineArithmeticTest, BigintDivisionOverflowIsAQueryError) {
   }
 }
 
+// BIGINT +, -, * and unary - used to wrap silently; the overflow now fails
+// the query in execution and leaves a constant unfolded (so it fails when
+// executed), in both evaluation modes.
+TEST(EngineArithmeticTest, BigintOverflowIsAQueryError) {
+  for (EvalMode mode : {EvalMode::kCompiled, EvalMode::kInterpreted}) {
+    SCOPED_TRACE(mode == EvalMode::kCompiled ? "compiled" : "interpreted");
+    EngineOptions options;
+    options.cluster.num_workers = 2;
+    options.cluster.executor.threads = 2;
+    options.cluster.eval_mode = mode;
+    PrestoEngine engine(options);
+    auto mem = std::make_shared<MemoryConnector>("memory");
+    RowSchema schema;
+    schema.Add("y", TypeKind::kBigint);
+    ASSERT_TRUE(
+        mem->CreateTable("t", schema, {Page({MakeBigintBlock({1, 2, 3, 4})})})
+            .ok());
+    engine.catalog().Register(mem);
+
+    struct Case {
+      const char* sql;
+      const char* message;
+    };
+    for (const Case& c :
+         {Case{"SELECT max(y + 9223372036854775807) FROM t",
+               "bigint addition overflow"},
+          Case{"SELECT min((0 - 9223372036854775807) - y) FROM t",
+               "bigint subtraction overflow"},
+          Case{"SELECT max(y * 4611686018427387904) FROM t",
+               "bigint multiplication overflow"},
+          Case{"SELECT min(-(0 - 9223372036854775807 - y)) FROM t "
+               "WHERE y = 1",
+               "bigint negation overflow"},
+          Case{"SELECT 9223372036854775807 + 1", "bigint addition overflow"}}) {
+      auto rows = engine.ExecuteAndFetch(c.sql);
+      ASSERT_FALSE(rows.ok()) << c.sql;
+      EXPECT_NE(rows.status().message().find(c.message), std::string::npos)
+          << c.sql << ": " << rows.status().ToString();
+    }
+    auto rows = engine.ExecuteAndFetch(
+        "SELECT max(y + 9223372036854775803) FROM t");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ((*rows)[0][0], Value::Bigint(9223372036854775807));
+  }
+}
+
 }  // namespace
 }  // namespace presto

@@ -494,29 +494,5 @@ TEST_F(ExchangeHttpTest, ServerFaultPointAnswers500) {
   EXPECT_EQ(healthy->status, 200);
 }
 
-// ---------------------------------------------------------------------------
-// SimulateTransfer regression (in-process transport)
-// ---------------------------------------------------------------------------
-
-TEST(ExchangeTransferTest, ConcurrentTransfersOverlap) {
-  // Two concurrent 60ms transfers must take ~60ms, not ~120ms: the
-  // bandwidth sleep may never run under the manager lock.
-  NetworkConfig network;
-  network.latency_micros = 60'000;
-  network.bytes_per_second = 0;
-  ExchangeManager manager(network);
-  auto start = std::chrono::steady_clock::now();
-  std::thread t1([&] { manager.SimulateTransfer(1024); });
-  std::thread t2([&] { manager.SimulateTransfer(1024); });
-  t1.join();
-  t2.join();
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  EXPECT_GE(elapsed, 60);
-  EXPECT_LT(elapsed, 110) << "transfers serialized instead of overlapping";
-  EXPECT_EQ(manager.transferred_bytes(), 2048);
-}
-
 }  // namespace
 }  // namespace presto

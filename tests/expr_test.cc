@@ -415,6 +415,58 @@ TEST(ScalarEdgeCaseTest, BigintDivisionOverflow) {
             Value::Bigint(0));
 }
 
+// BIGINT +, -, * and unary - used to wrap (signed-overflow UB); they fail
+// in both modes and in constant folding. DOUBLE overflow stays IEEE.
+TEST(ScalarEdgeCaseTest, BigintOverflowFails) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  Page page({MakeBigintBlock({kMax, 1}), MakeBigintBlock({1, 1}),
+             MakeBigintBlock({kMin, 1})});
+  auto big = Col(0, TypeKind::kBigint);
+  auto one = Col(1, TypeKind::kBigint);
+  auto small = Col(2, TypeKind::kBigint);
+  struct Case {
+    ExprPtr expr;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {Call("plus", {big, one}), "bigint addition overflow"},
+      {Call("minus", {small, one}), "bigint subtraction overflow"},
+      {Call("multiply", {big, Lit(Value::Bigint(2))}),
+       "bigint multiplication overflow"},
+      {Call("negate", {small}), "bigint negation overflow"},
+  };
+  for (EvalMode mode : {EvalMode::kInterpreted, EvalMode::kCompiled}) {
+    for (const auto& c : cases) {
+      auto r = ExprEvaluator(c.expr, mode).Eval(page);
+      ASSERT_FALSE(r.ok()) << c.expr->ToString();
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(r.status().message(), c.message);
+    }
+    // In range: exact results, including the extremes themselves.
+    auto r = ExprEvaluator(Call("minus", {big, one}), mode).Eval(page);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ((*r)->GetValue(0), Value::Bigint(kMax - 1));
+    r = ExprEvaluator(Call("plus", {small, one}), mode).Eval(page);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ((*r)->GetValue(0), Value::Bigint(kMin + 1));
+    r = ExprEvaluator(Call("multiply", {small, one}), mode).Eval(page);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ((*r)->GetValue(0), Value::Bigint(kMin));
+  }
+  auto max = Lit(Value::Bigint(kMax));
+  auto folded = EvalConstantExpr(*Call("plus", {max, Lit(Value::Bigint(1))}));
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(folded.status().message(), "bigint addition overflow");
+  EXPECT_FALSE(EvalConstantExpr(*Call("negate", {Lit(Value::Bigint(kMin))}))
+                   .ok());
+  // DOUBLE: overflow is +Infinity, not an error.
+  auto inf = EvalConstantExpr(*Call(
+      "multiply", {Lit(Value::Double(1e308)), Lit(Value::Double(10))}));
+  ASSERT_TRUE(inf.ok());
+  EXPECT_TRUE(std::isinf(inf->AsDouble()));
+}
+
 Value RandomScalar(Random* rng, TypeKind type) {
   switch (type) {
     case TypeKind::kBigint:

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <sstream>
 #include <thread>
 
+#include "common/random.h"
+#include "connectors/memcon/memory_connector.h"
+#include "engine/engine.h"
 #include "exchange/exchange.h"
 #include "exec/group_by_hash.h"
 #include "exec/keys.h"
+#include "exec/operators.h"
 #include "exec/pages_index.h"
 #include "exec/spiller.h"
+#include "exec/task.h"
 #include "memory/memory.h"
 #include "schedule/task_executor.h"
 
@@ -257,6 +265,369 @@ TEST(TaskExecutorTest, LevelClassification) {
   double total = 0;
   for (double share : config.level_shares) total += share;
   EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+// ---- blocking and wake-up ----
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+// Counts the rows reaching the end of a pipeline.
+class CountingSink final : public Operator {
+ public:
+  CountingSink(std::unique_ptr<OperatorContext> ctx,
+               std::atomic<int64_t>* rows)
+      : Operator(std::move(ctx)), rows_(rows) {}
+  bool needs_input() const override { return !no_more_input_; }
+  Status AddInput(Page page) override {
+    rows_->fetch_add(page.num_rows());
+    return Status::OK();
+  }
+  Result<std::optional<Page>> GetOutput() override {
+    return std::optional<Page>();
+  }
+  bool IsFinished() override { return no_more_input_; }
+
+ private:
+  std::atomic<int64_t>* rows_;
+};
+
+// Emits `pages` one-row pages, never blocking.
+class CounterSource final : public Operator {
+ public:
+  CounterSource(std::unique_ptr<OperatorContext> ctx, int pages)
+      : Operator(std::move(ctx)), remaining_(pages) {}
+  bool needs_input() const override { return false; }
+  Status AddInput(Page) override { return Status::Internal("no input"); }
+  Result<std::optional<Page>> GetOutput() override {
+    if (remaining_ == 0) return std::optional<Page>();
+    --remaining_;
+    return std::optional<Page>(Page({MakeBigintBlock({remaining_})}));
+  }
+  bool IsFinished() override { return remaining_ == 0; }
+
+ private:
+  int remaining_;
+};
+
+// A task whose drivers the test installs by hand (the Values root only
+// satisfies TaskExec; Initialize is never called). It consumes partition
+// `task_index` of fragment 1, which has `producers` tasks.
+std::shared_ptr<TaskExec> HandBuiltTask(ExchangeManager* exchange,
+                                        int task_index, int producers) {
+  static const PlanFragment* fragment = [] {
+    auto* f = new PlanFragment();
+    f->root = std::make_shared<ValuesNode>(0, RowSchema(),
+                                           std::vector<std::vector<Value>>{});
+    return f;
+  }();
+  TaskSpec spec;
+  spec.query_id = "q";
+  spec.fragment_id = 2;
+  spec.task_index = task_index;
+  spec.consumer_partitions = 0;
+  spec.source_task_counts = {{1, producers}};
+  TaskRuntime runtime;
+  runtime.exchange = exchange;
+  return std::make_shared<TaskExec>(spec, runtime, fragment);
+}
+
+std::unique_ptr<OperatorContext> ContextOf(TaskExec& task, const char* label) {
+  return std::make_unique<OperatorContext>(task.runtime(), task.spec(),
+                                           label);
+}
+
+void AddDriver(TaskExec& task, std::unique_ptr<Operator> source,
+               std::unique_ptr<Operator> sink) {
+  std::vector<std::unique_ptr<Operator>> ops;
+  ops.push_back(std::move(source));
+  ops.push_back(std::move(sink));
+  task.drivers().push_back(std::make_unique<Driver>(std::move(ops)));
+}
+
+// Runs `task` on `executor`; the future completes with its status.
+std::future<Status> Start(TaskExecutor& executor,
+                          std::shared_ptr<TaskExec> task) {
+  auto done = std::make_shared<std::promise<Status>>();
+  std::future<Status> future = done->get_future();
+  executor.AddTask(std::move(task),
+                   [done](Status status) { done->set_value(status); });
+  return future;
+}
+
+// Value of one sample line (`name{labels} value`) of a metrics rendering.
+double MetricSample(const std::string& text, const std::string& series) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(series + " ", 0) == 0) {
+      return std::stod(line.substr(series.size() + 1));
+    }
+  }
+  ADD_FAILURE() << "no sample " << series;
+  return -1;
+}
+
+// A producer thread races consumers that block and park on a one-thread
+// executor: every push may land between a consumer's empty poll and its
+// park. A lost wake-up leaves a consumer parked forever (the task never
+// finishes); a wake that only a timer delivered shows as a deadline
+// wake-up. A driver-to-driver pair adds a producer parked on a full queue
+// and woken by the consumer's pops.
+TEST(WakeupTest, ParkedConsumersMissNoWakeup) {
+  constexpr int kPages = 3000;
+  ExchangeManager manager(NetworkConfig{0, 0});
+  manager.CreateOutputBuffers("q", 1, 0, 1, /*capacity_bytes=*/4096);
+  std::shared_ptr<ExchangeBuffer> buffer = manager.GetBuffer({"q", 1, 0, 0});
+  auto queue = std::make_shared<LocalExchangeQueue>(1, 4096);
+  auto chained = std::make_shared<LocalExchangeQueue>(1, 1024);
+
+  auto task = HandBuiltTask(&manager, 0, 1);
+  std::atomic<int64_t> local_rows{0};
+  std::atomic<int64_t> remote_rows{0};
+  std::atomic<int64_t> chained_rows{0};
+  AddDriver(*task,
+            std::make_unique<LocalExchangeSourceOperator>(
+                ContextOf(*task, "local_source"), queue),
+            std::make_unique<CountingSink>(ContextOf(*task, "sink"),
+                                           &local_rows));
+  AddDriver(*task,
+            std::make_unique<RemoteSourceOperator>(
+                ContextOf(*task, "remote_source"), 1, 1),
+            std::make_unique<CountingSink>(ContextOf(*task, "sink"),
+                                           &remote_rows));
+  AddDriver(*task,
+            std::make_unique<CounterSource>(ContextOf(*task, "counter"),
+                                            kPages),
+            std::make_unique<LocalExchangeSinkOperator>(
+                ContextOf(*task, "local_sink"), chained));
+  AddDriver(*task,
+            std::make_unique<LocalExchangeSourceOperator>(
+                ContextOf(*task, "local_source"), chained),
+            std::make_unique<CountingSink>(ContextOf(*task, "sink"),
+                                           &chained_rows));
+
+  ExecutorConfig config;
+  config.threads = 1;
+  TaskExecutor executor(config, 0);
+  std::future<Status> done = Start(executor, task);
+
+  std::atomic<bool> abort{false};
+  std::thread producer([&] {
+    Random rng(7);
+    for (int i = 0; i < kPages && !abort.load(); ++i) {
+      Page page({MakeBigintBlock({i})});
+      while (!queue->TryPush(page) && !abort.load()) std::this_thread::yield();
+      PageCodec::Frame frame = manager.codec().Encode(page);
+      while (!buffer->TryEnqueue(frame) && !abort.load()) {
+        std::this_thread::yield();
+      }
+      // Irregular gaps, so the consumers go idle and park in between.
+      if (rng.NextUint64(8) == 0) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(rng.NextUint64(60)));
+      }
+    }
+    queue->ProducerFinished();
+    buffer->NoMorePages();
+  });
+  bool finished = done.wait_for(std::chrono::seconds(60)) ==
+                  std::future_status::ready;
+  abort.store(true);
+  producer.join();
+  ASSERT_TRUE(finished) << "a parked driver missed its wake-up";
+  EXPECT_TRUE(done.get().ok());
+  EXPECT_EQ(local_rows.load(), kPages);
+  EXPECT_EQ(remote_rows.load(), kPages);
+  EXPECT_EQ(chained_rows.load(), kPages);
+  // No driver asked for a deadline, so none may have been woken by one.
+  EXPECT_EQ(executor.deadline_wakeups(), 0);
+  EXPECT_GT(executor.signal_wakeups(), 0);
+  EXPECT_EQ(executor.parked_drivers(), 0);
+}
+
+// kThreads queries with a zero-cost network wait only on events: each
+// blocked driver is re-armed by its signal, never by a deadline. Read
+// through the exported /v1/metrics series.
+TEST(WakeupTest, ThreadsQueriesWakeOnSignalsOnly) {
+  EngineOptions options;
+  options.cluster.num_workers = 2;
+  options.cluster.executor.threads = 2;
+  options.cluster.network.latency_micros = 0;
+  options.cluster.network.bytes_per_second = 0;
+  PrestoEngine engine(options);
+  auto mem = std::make_shared<MemoryConnector>("memory");
+  RowSchema fact;
+  fact.Add("k", TypeKind::kBigint);
+  fact.Add("v", TypeKind::kBigint);
+  std::vector<Page> pages;
+  for (int p = 0; p < 32; ++p) {
+    std::vector<int64_t> k(1024);
+    std::vector<int64_t> v(1024);
+    for (int i = 0; i < 1024; ++i) {
+      k[static_cast<size_t>(i)] = (p * 1024 + i) % 100;
+      v[static_cast<size_t>(i)] = p * 1024 + i;
+    }
+    pages.push_back(Page({MakeBigintBlock(k), MakeBigintBlock(v)}));
+  }
+  ASSERT_TRUE(mem->CreateTable("fact", fact, pages).ok());
+  RowSchema dim;
+  dim.Add("dk", TypeKind::kBigint);
+  dim.Add("grp", TypeKind::kBigint);
+  std::vector<int64_t> dk(100);
+  std::vector<int64_t> grp(100);
+  for (int i = 0; i < 100; ++i) {
+    dk[static_cast<size_t>(i)] = i;
+    grp[static_cast<size_t>(i)] = i % 7;
+  }
+  ASSERT_TRUE(mem->CreateTable("dim", dim,
+                               {Page({MakeBigintBlock(dk),
+                                      MakeBigintBlock(grp)})})
+                  .ok());
+  engine.catalog().Register(mem);
+
+  struct Case {
+    const char* sql;
+    size_t rows;
+  };
+  for (const Case& c :
+       {Case{"SELECT k, sum(v), count(*) FROM fact GROUP BY k", 100},
+        Case{"SELECT grp, count(*) FROM fact JOIN dim ON k = dk GROUP BY grp",
+             7},
+        Case{"SELECT v FROM fact WHERE k = 3 ORDER BY v DESC", 328}}) {
+    auto rows = engine.ExecuteAndFetch(c.sql);
+    ASSERT_TRUE(rows.ok()) << c.sql << ": " << rows.status().ToString();
+    EXPECT_EQ(rows->size(), c.rows) << c.sql;
+  }
+  std::string metrics = engine.metrics().RenderText();
+  EXPECT_EQ(MetricSample(metrics,
+                         "presto_executor_wakeups_total{cause=\"deadline\"}"),
+            0);
+  EXPECT_GT(MetricSample(metrics,
+                         "presto_executor_wakeups_total{cause=\"signal\"}"),
+            0);
+}
+
+// The simulated link still charges latency: a frame is not handed over
+// before `latency_micros` passed since it was sent. Poll never sleeps and
+// holds no lock across the wait, so the producer side stays live while
+// the frame is in flight.
+TEST(SimulatedNetworkTest, FrameLandsAfterLatency) {
+  constexpr int64_t kLatencyMicros = 30'000;
+  ExchangeBuffer buffer(1 << 20, nullptr, nullptr, 0, false, kLatencyMicros,
+                        0);
+  PageCodec codec(ExchangeManager::DefaultCodecOptions());
+  PageCodec::Frame frame = codec.Encode(Page({MakeBigintBlock({1, 2, 3})}));
+  Clock::time_point sent = Clock::now();
+  ASSERT_TRUE(buffer.TryEnqueue(frame));
+  bool finished = false;
+  Clock::time_point arrives{};
+  Clock::time_point polled = Clock::now();
+  EXPECT_FALSE(buffer.Poll(&finished, nullptr, &arrives).has_value());
+  EXPECT_LT(Clock::now() - polled, milliseconds(10)) << "Poll slept";
+  EXPECT_FALSE(finished);
+  EXPECT_GE(arrives - sent, std::chrono::microseconds(kLatencyMicros));
+  EXPECT_TRUE(buffer.TryEnqueue(frame));  // not blocked by the wait
+  EXPECT_GT(buffer.utilization(), 0.0);
+  std::this_thread::sleep_until(arrives);
+  EXPECT_TRUE(buffer.Poll(&finished, nullptr, &arrives).has_value());
+}
+
+// Frames from concurrent producers overlap on the wire: 4 producers x 4
+// frames take about latency + (one buffer's bytes)/bandwidth, bounded by
+// latency + (all bytes)/bandwidth, not 16 x latency as when each frame
+// slept on the consumer's thread. The consumer parks on each arrival time
+// (deadline wake-ups), never polls.
+TEST(SimulatedNetworkTest, ConcurrentFramesOverlap) {
+  constexpr int kProducers = 4;
+  constexpr int kFramesEach = 4;
+  constexpr int64_t kLatencyMicros = 40'000;
+  PageCodec codec(ExchangeManager::DefaultCodecOptions());
+  PageCodec::Frame frame = codec.Encode(
+      Page({MakeBigintBlock(std::vector<int64_t>(4096, 42))}));
+  // Each frame occupies its buffer's link for 2 ms.
+  int64_t bytes_per_second = frame.wire_bytes() * 500;
+  ExchangeManager manager(NetworkConfig{kLatencyMicros, bytes_per_second});
+  for (int p = 0; p < kProducers; ++p) {
+    manager.CreateOutputBuffers("q", 1, p, 1, 1 << 20);
+  }
+  auto task = HandBuiltTask(&manager, 0, kProducers);
+  std::atomic<int64_t> rows{0};
+  AddDriver(*task,
+            std::make_unique<RemoteSourceOperator>(
+                ContextOf(*task, "remote_source"), 1, kProducers),
+            std::make_unique<CountingSink>(ContextOf(*task, "sink"), &rows));
+  ExecutorConfig config;
+  config.threads = 1;
+  TaskExecutor executor(config, 0);
+  std::future<Status> done = Start(executor, task);
+
+  Clock::time_point start = Clock::now();
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      auto buffer = manager.GetBuffer({"q", 1, p, 0});
+      for (int f = 0; f < kFramesEach; ++f) {
+        EXPECT_TRUE(buffer->TryEnqueue(frame));
+      }
+      buffer->NoMorePages();
+    });
+  }
+  for (auto& t : producers) t.join();
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  auto elapsed = Clock::now() - start;
+  EXPECT_TRUE(done.get().ok());
+  EXPECT_EQ(rows.load(), int64_t{kProducers} * kFramesEach * 4096);
+  auto latency = std::chrono::microseconds(kLatencyMicros);
+  EXPECT_GE(elapsed, latency + kFramesEach * milliseconds(2));
+  EXPECT_LT(elapsed, latency + kProducers * kFramesEach * milliseconds(2) +
+                         milliseconds(100));
+  EXPECT_LT(elapsed, kProducers * kFramesEach * latency / 2);
+  EXPECT_GT(executor.deadline_wakeups(), 0);
+}
+
+// Two consumers waiting on in-flight frames share one executor thread and
+// still overlap: two 60 ms transfers take ~60 ms, not ~120 ms. (The wait
+// is a parked driver, not a sleep on the thread or under a lock.)
+TEST(SimulatedNetworkTest, ConsumersOverlapOnOneThread) {
+  NetworkConfig network;
+  network.latency_micros = 60'000;
+  network.bytes_per_second = 0;
+  ExchangeManager manager(network);
+  manager.CreateOutputBuffers("q", 1, 0, 2, 1 << 20);
+  ExecutorConfig config;
+  config.threads = 1;
+  TaskExecutor executor(config, 0);
+  std::atomic<int64_t> rows{0};
+  std::vector<std::future<Status>> done;
+  for (int consumer = 0; consumer < 2; ++consumer) {
+    auto task = HandBuiltTask(&manager, consumer, 1);
+    AddDriver(*task,
+              std::make_unique<RemoteSourceOperator>(
+                  ContextOf(*task, "remote_source"), 1, 1),
+              std::make_unique<CountingSink>(ContextOf(*task, "sink"),
+                                             &rows));
+    done.push_back(Start(executor, task));
+  }
+  Clock::time_point start = Clock::now();
+  PageCodec::Frame frame =
+      manager.codec().Encode(Page({MakeBigintBlock({1, 2})}));
+  for (int partition = 0; partition < 2; ++partition) {
+    auto buffer = manager.GetBuffer({"q", 1, 0, partition});
+    ASSERT_TRUE(buffer->TryEnqueue(frame));
+    buffer->NoMorePages();
+  }
+  for (auto& d : done) {
+    ASSERT_EQ(d.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    EXPECT_TRUE(d.get().ok());
+  }
+  auto elapsed = Clock::now() - start;
+  EXPECT_EQ(rows.load(), 4);
+  EXPECT_GE(elapsed, milliseconds(60));
+  EXPECT_LT(elapsed, milliseconds(110)) << "transfers serialized";
+  EXPECT_EQ(manager.transferred_bytes(), 2 * frame.wire_bytes());
 }
 
 }  // namespace
